@@ -12,6 +12,13 @@ A tile's circuits (driver, charge pump, shared lines) see the union of spike
 activity of every cluster placed on it plus every predecessor cluster that
 sends spikes into it, so placement changes stress. A tile whose union trace
 carries no pulses is unstressed and does not age.
+
+Two paths compute a tile's mechanism agings. hosted_set_mechanism_agings, the
+kernel that search and reports call, works directly on the pulse runs and idle
+gaps of the union in one NumPy pass. The trace path (build_voltage_trace, then
+tddb_aging / nbti_aging / hci_aging on the VoltageTrace) is its reference: the
+kernel evaluates the same per-segment terms and sums them with the same exactly
+rounded fsum, so the two agree bit for bit. reliability_at also takes a trace.
 """
 
 from __future__ import annotations
@@ -24,10 +31,9 @@ import numpy as np
 from .model import (
     HardwareConfig,
     Mapping,
-    SpikeTrain,
     VoltageTrace,
     Workload,
-    build_voltage_trace,
+    build_voltage_trace,  # noqa: F401  (re-exported: builds the reference path's traces)
     require_valid_mapping,
 )
 
@@ -167,6 +173,14 @@ def reliability_at(
     raise AssertionError("unreachable")
 
 
+def _strain_terms(over: np.ndarray, durations: np.ndarray, temperature: float,
+                  g: NbtiParams, t_ref: float) -> np.ndarray:
+    """g0(T) (V - v_threshold)^m d^n per stressed segment. Both the trace path
+    and the pulse-run kernel evaluate this one expression."""
+    g0_t = g.g0 * math.exp((g.ea / BOLTZMANN_EV) * (1.0 / t_ref - 1.0 / temperature))
+    return g0_t * over ** g.m * durations ** g.n
+
+
 def _strain_aging(trace: VoltageTrace, temperature: float, g: NbtiParams,
                   t_ref: float) -> float:
     """Shared NBTI/HCI kernel. Adjacent equal-voltage segments are coalesced
@@ -179,9 +193,23 @@ def _strain_aging(trace: VoltageTrace, temperature: float, g: NbtiParams,
     mask = over > 0.0
     if not mask.any():
         return 0.0
-    g0_t = g.g0 * math.exp((g.ea / BOLTZMANN_EV) * (1.0 / t_ref - 1.0 / temperature))
-    terms = g0_t * over[mask] ** g.m * merged.durations[mask] ** g.n
+    terms = _strain_terms(over[mask], merged.durations[mask], temperature, g, t_ref)
     return math.fsum(terms.tolist())
+
+
+def _run_strain_aging(runs: tuple[tuple[float, np.ndarray], ...], temperature: float,
+                      g: NbtiParams, t_ref: float) -> float:
+    """_strain_aging over (voltage, durations) groups of pulse runs and idle
+    gaps. Runs and gaps alternate, so there is nothing to coalesce."""
+    if g.g0 == 0.0:
+        return 0.0
+    terms: list[float] = []
+    for v, durations in runs:
+        over = v - g.v_threshold
+        if over > 0.0:
+            terms += _strain_terms(np.asarray([over]), durations, temperature, g,
+                                   t_ref).tolist()
+    return math.fsum(terms)
 
 
 def nbti_aging(trace: VoltageTrace, temperature: float, p: AgingParams) -> float:
@@ -287,6 +315,12 @@ def hosted_set_mechanism_agings(
     trains and those of their predecessors (spikes arrive through the shared
     drivers). Depends only on the member set, never on which tile hosts it, so
     callers may cache on frozenset(members). No pulses means no stress.
+
+    Works on pulse runs (maximal overlapping or touching pulses, truncated at
+    the window) and the idle gaps between them, in one NumPy pass. These are
+    exactly the segments of build_voltage_trace's waveform of the union, so the
+    result is bit-identical to tddb_aging / nbti_aging / hci_aging on that
+    trace, the reference this kernel is tested against.
     """
     if not members:
         return (0.0, 0.0, 0.0)
@@ -294,17 +328,40 @@ def hosted_set_mechanism_agings(
     sources: set[int] = set(members)
     for ci in members:
         sources |= snn.predecessor_sets[ci]
-    times = np.concatenate(
+    times = np.unique(np.concatenate(
         [workload.trains[snn.clusters[ci].id].times for ci in sorted(sources)]
-    )
-    train = SpikeTrain(times)
-    if len(train) == 0:
+    ))
+    if times.size == 0:
         return (0.0, 0.0, 0.0)
-    trace = build_voltage_trace(train, hw.device_profile, snn.workload_window)
+    window = snn.workload_window
+    if times[-1] >= window:
+        raise ValueError("spike times must lie within [0, window)")
+
+    profile = hw.device_profile
+    hi = np.minimum(times + profile.spike_pulse_width, window)
+    # A pulse joins the run before it unless it starts after that run's end;
+    # pulse ends are non-decreasing, so a run ends where its last pulse ends.
+    breaks = np.flatnonzero(times[1:] > hi[:-1])
+    starts = times[np.concatenate(([0], breaks + 1))]
+    ends = hi[np.concatenate((breaks, [times.size - 1]))]
+    active = ends - starts
+    if np.any(active <= 0.0):
+        raise ValueError("segment durations must be > 0")
+    # Gaps between runs are always > 0; the leading and trailing gaps only
+    # exist when the first run starts after 0 or the last ends before window.
+    idle = np.concatenate((starts[1:] - ends[:-1], [starts[0], window - ends[-1]]))
+    idle = idle[idle > 0.0]
+
+    temperature = hw.temperature
+    a_active, a_idle = _alpha_array(
+        np.asarray([profile.v_active, profile.v_idle]), temperature, p.tddb
+    ).tolist()
+    runs = ((profile.v_active, active), (profile.v_idle, idle))
     return (
-        tddb_aging(trace, hw.temperature, p),
-        nbti_aging(trace, hw.temperature, p),
-        hci_aging(trace, hw.temperature, p),
+        math.fsum((active / a_active).tolist() + (idle / a_idle).tolist()),
+        _run_strain_aging(runs, temperature, p.nbti, p.tddb.t_ref),
+        _run_strain_aging(runs, temperature, p.hci, p.tddb.t_ref)
+        if p.hci.enabled else 0.0,
     )
 
 

@@ -59,7 +59,8 @@ SWEEP_AXES = ("temperature", "device_kind", "num_tiles")
 
 
 def _sanitize(obj):
-    """inf is not portable JSON; serialize it as the string 'inf'."""
+    """inf is not portable JSON; serialize it as the string 'inf'. NaN has no
+    such reading and is refused by _write_json."""
     if isinstance(obj, float) and math.isinf(obj):
         return "inf"
     if isinstance(obj, dict):
@@ -70,8 +71,8 @@ def _sanitize(obj):
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(_sanitize(obj), sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
+    path.write_text(json.dumps(_sanitize(obj), sort_keys=True, indent=2, allow_nan=False)
+                    + "\n", encoding="utf-8")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:

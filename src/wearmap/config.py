@@ -8,6 +8,7 @@ their ValueErrors onto ConfigError with the field path prepended.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import yaml
@@ -68,9 +69,7 @@ def _get(d: dict, key: str, path: str, kind, default=_MISSING):
             raise ConfigError(f"{where}: expected an integer")
         return val
     if kind is float:
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ConfigError(f"{where}: expected a number")
-        return float(val)
+        return _number(val, where)
     if kind is str:
         if not isinstance(val, str):
             raise ConfigError(f"{where}: expected a string")
@@ -84,15 +83,20 @@ def _get(d: dict, key: str, path: str, kind, default=_MISSING):
     raise AssertionError(f"unhandled kind {kind!r}")
 
 
+def _number(val, where: str) -> float:
+    """A YAML number as float. NaN is refused: no field has a meaning for it,
+    and it slips through every ordering check downstream."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ConfigError(f"{where}: expected a number")
+    if math.isnan(val):
+        raise ConfigError(f"{where}: expected a number, got NaN")
+    return float(val)
+
+
 def _number_list(val, path: str) -> list[float]:
     if not isinstance(val, list) or not val:
         raise ConfigError(f"{path}: expected a non-empty list of numbers")
-    out = []
-    for i, x in enumerate(val):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ConfigError(f"{path}[{i}]: expected a number")
-        out.append(float(x))
-    return out
+    return [_number(x, f"{path}[{i}]") for i, x in enumerate(val)]
 
 
 def _build(ctor, kwargs: dict, path: str):
@@ -219,7 +223,7 @@ def _parse_poisson_workload(node, path: str) -> Workload:
     elif isinstance(rate, bool) or not isinstance(rate, (int, float)):
         raise ConfigError(f"{path}.rate: expected a number or list of numbers")
     else:
-        rate = float(rate)
+        rate = _number(rate, f"{path}.rate")
     window = _get(d, "window", path, float)
     seed = _get(d, "seed", path, int)
     try:
@@ -256,6 +260,10 @@ def _parse_inline_workload(node, path: str) -> Workload:
             "spike_count": _get(ed, "spike_count", epath, int),
         }, epath))
 
+    snn = _build(ClusteredSnn,
+                 {"clusters": clusters, "edges": edges, "workload_window": window},
+                 f"{path}.window")
+
     trains_node = _get(d, "trains", path, dict)
     cluster_ids = [c.id for c in clusters]
     extra = sorted(set(trains_node) - set(cluster_ids))
@@ -271,10 +279,9 @@ def _parse_inline_workload(node, path: str) -> Workload:
             trains[cid] = SpikeTrain(times)
         except ValueError as e:
             raise ConfigError(f"{path}.trains.{cid}: {e}") from e
-
-    snn = _build(ClusteredSnn,
-                 {"clusters": clusters, "edges": edges, "workload_window": window},
-                 path)
+        if len(trains[cid]) and trains[cid].times[-1] >= snn.workload_window:
+            raise ConfigError(f"{path}.trains.{cid}: spike times must lie within "
+                              f"[0, window={snn.workload_window!r})")
     return Workload(snn=snn, trains=trains)
 
 
@@ -325,8 +332,8 @@ def parse_run_config(text: str) -> RunConfig:
     if epsilon < 0.0:
         raise ConfigError("config.epsilon: must be >= 0")
     years = _get(root, "target_mttf_years", "config", float, default=2.0)
-    if years <= 0.0:
-        raise ConfigError("config.target_mttf_years: must be > 0")
+    if not (math.isfinite(years) and years > 0.0):
+        raise ConfigError("config.target_mttf_years: must be finite and > 0")
     n_random = _get(root, "n_random", "config", int, default=25)
     if n_random < 1:
         raise ConfigError("config.n_random: must be >= 1")

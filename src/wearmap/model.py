@@ -73,8 +73,8 @@ class ClusteredSnn:
         object.__setattr__(self, "clusters", tuple(clusters))
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "workload_window", float(workload_window))
-        if self.workload_window <= 0.0:
-            raise ValueError("workload_window must be > 0")
+        if not (math.isfinite(self.workload_window) and self.workload_window > 0.0):
+            raise ValueError("workload_window must be finite and > 0")
 
     @cached_property
     def index_of(self) -> dict[str, int]:
@@ -145,8 +145,8 @@ class HardwareConfig:
             raise ValueError("num_tiles must be >= 1")
         if self.crossbar_dim < 1:
             raise ValueError("crossbar_dim must be >= 1")
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be > 0 K")
+        if not (math.isfinite(self.temperature) and self.temperature > 0.0):
+            raise ValueError("temperature must be finite and > 0 K")
         if self.tile_capacity < 1:
             raise ValueError("tile_capacity must be >= 1")
         if self.mesh is None:
@@ -429,8 +429,8 @@ def generate_poisson_workload(
     spike count of the source cluster (spikes broadcast along declared edges).
     rate may be a scalar or one value per cluster.
     """
-    if window <= 0.0:
-        raise ValueError("window must be > 0")
+    if not (math.isfinite(window) and window > 0.0):
+        raise ValueError("window must be finite and > 0")
     k = snn_shape.num_clusters
     if np.ndim(rate) == 0:
         rates = [float(rate)] * k

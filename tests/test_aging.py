@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wearmap.aging import (
     BOLTZMANN_EV,
@@ -21,6 +23,7 @@ from wearmap.aging import (
     combine_aging,
     evaluate_hardware_aging,
     hci_aging,
+    hosted_set_mechanism_agings,
     mttf_from_aging,
     nbti_aging,
     reliability_at,
@@ -597,6 +600,77 @@ def test_hardware_aging_device_trend():
     a_d = evaluate_hardware_aging(wl, Mapping([0, 1]), diode, p).hardware
     a_t = evaluate_hardware_aging(wl, Mapping([0, 1]), trans, p).hardware
     assert a_t < a_d
+
+
+# ---------------------------------------------------------------- pulse-run kernel
+
+
+@st.composite
+def _hosted_set_case(draw):
+    """A small workload, one hosted member set and the parameters to age it by.
+
+    Spike times are drawn relative to the pulse width, so that pulses overlap,
+    touch (t + pulse_width exactly) and run into the window end; trains may be
+    empty, and v_threshold may sit below v_idle so that idle time stresses too.
+    """
+    kind = draw(st.sampled_from(["diode_1D1R", "transistor_1T1R"]))
+    pulse = draw(st.floats(1e-6, 0.3))
+    window = draw(st.sampled_from([1.0, 0.37, 2.5]))
+    profile = DeviceProfile(kind=kind, spike_pulse_width=pulse)
+    k = draw(st.integers(1, 4))
+    ids = [f"c{i}" for i in range(k)]
+    trains = {}
+    for cid in ids:
+        base = draw(st.lists(st.floats(0.0, window, exclude_max=True), max_size=12))
+        follow = draw(st.lists(st.tuples(st.sampled_from(base or [0.0]),
+                                         st.sampled_from([0.5, 1.0, 1.5])), max_size=6))
+        late = draw(st.lists(st.floats(0.0, 1.0), max_size=3))
+        times = (base + [t + f * pulse for t, f in follow]
+                 + [window - u * pulse for u in late])
+        trains[cid] = SpikeTrain(t for t in times if 0.0 <= t < window)
+    edges = [Edge(a, b, 1) for a in ids for b in ids if draw(st.booleans())]
+    members = draw(st.sets(st.integers(0, k - 1), min_size=1))
+    temperature = draw(st.floats(250.0, 400.0))
+    p = AgingParams(
+        nbti=NbtiParams(v_threshold=draw(st.sampled_from([0.5, 1.0, 1.5, 1.8, 2.5]))),
+        hci=HciParams(enabled=draw(st.booleans()), m=2.5, n=0.3,
+                      v_threshold=draw(st.sampled_from([1.0, 1.5, 2.9]))),
+    )
+    wl = Workload(snn=ClusteredSnn([Cluster(c, 4, 8) for c in ids], edges, window),
+                  trains=trains)
+    hw = _hw(profile=profile, num_tiles=1, tile_capacity=k, temperature=temperature)
+    return wl, frozenset(members), hw, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(_hosted_set_case())
+def test_kernel_is_bit_identical_to_trace_path(case):
+    wl, members, hw, p = case
+    sources = {wl.snn.clusters[i].id for i in members}
+    sources |= {e.src for e in wl.snn.edges if e.dst in sources}
+    union = SpikeTrain(np.concatenate([wl.trains[c].times for c in sorted(sources)]))
+    got = hosted_set_mechanism_agings(members, wl, hw, p)
+    if len(union) == 0:
+        assert got == (0.0, 0.0, 0.0)
+        return
+    tr = build_voltage_trace(union, hw.device_profile, wl.snn.workload_window)
+    t = hw.temperature
+    assert got == (tddb_aging(tr, t, p), nbti_aging(tr, t, p), hci_aging(tr, t, p))
+
+
+def test_kernel_keeps_trace_path_failures():
+    snn = ClusteredSnn([Cluster("a", 4, 8)], [], 2.0)
+    hw = _hw(profile=DeviceProfile(kind="diode_1D1R", spike_pulse_width=1e-17),
+             num_tiles=1)
+    # 1.0 + 1e-17 == 1.0: the pulse has no length, as in build_voltage_trace
+    wl = Workload(snn=snn, trains={"a": SpikeTrain([1.0])})
+    with pytest.raises(ValueError, match="durations must be > 0"):
+        hosted_set_mechanism_agings({0}, wl, hw, _params())
+    with pytest.raises(ValueError, match="durations must be > 0"):
+        build_voltage_trace(wl.trains["a"], hw.device_profile, 2.0)
+    late = Workload(snn=snn, trains={"a": SpikeTrain([0.5, 2.0])})
+    with pytest.raises(ValueError, match=r"\[0, window\)"):
+        hosted_set_mechanism_agings({0}, late, _hw(num_tiles=1), _params())
 
 
 # ---------------------------------------------------------------- calibration

@@ -2,11 +2,12 @@
 
 import json
 import math
+import re
 
 import pytest
 
 from wearmap.aging import mttf_from_aging
-from wearmap.cli import main
+from wearmap.cli import _write_json, main
 from wearmap.config import (
     YEAR_SECONDS,
     ConfigError,
@@ -307,6 +308,51 @@ workload:
     code = main(["verify", "--config", str(p), "--output", str(tmp_path / "out")])
     assert code == 4
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_inline_spike_past_window_exits_2(tmp_path, capsys):
+    # a config error, not a traceback whose exit code 1 reads as a verify mismatch
+    p = _write(tmp_path, BASE.replace("a: [0.1, 0.4, 0.7]", "a: [0.1, 1.5]"))
+    code = main(["map", "--config", str(p), "--output", str(tmp_path / "out")])
+    assert code == 2
+    assert "workload.inline.trains.a" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match=r"workload\.inline\.trains\.b"):
+        parse_run_config(BASE.replace("b: [0.2, 0.5]", "b: [0.2, 1.0]"))
+
+
+_POISSON = """\
+hardware:
+  num_tiles: 2
+  crossbar_dim: 16
+  device: {kind: diode_1D1R}
+workload:
+  poisson: {num_clusters: 2, rate: 5.0, window: .inf, seed: 0}
+"""
+
+
+@pytest.mark.parametrize("text, field", [
+    (BASE.replace("temperature: 300.0", "temperature: .nan"), r"hardware.*temperature"),
+    (BASE.replace("window: 1.0", "window: .inf"), r"workload\.inline\.window"),
+    (_POISSON, r"workload\.poisson.*window"),
+    ("epsilon: .nan\n" + BASE, r"config\.epsilon"),
+    ("target_mttf_years: .inf\n" + BASE, r"config\.target_mttf_years"),
+    # NaN latency made every tau NaN, and the Pareto scan never advanced past one
+    (BASE + "perf: {spike_latency: .nan}\n", r"perf\.spike_latency"),
+    (BASE.replace("b: [0.2, 0.5]", "b: [0.2, .nan]"), r"workload\.inline\.trains\.b\[1\]"),
+], ids=["temperature_nan", "inline_window_inf", "poisson_window_inf", "epsilon_nan",
+        "target_mttf_inf", "spike_latency_nan", "spike_time_nan"])
+def test_cli_non_finite_number_exits_2(tmp_path, capsys, text, field):
+    p = _write(tmp_path, text)
+    code = main(["map", "--config", str(p), "--output", str(tmp_path / "out")])
+    assert code == 2
+    assert re.search(field, capsys.readouterr().err)
+
+
+def test_write_json_refuses_nan(tmp_path):
+    _write_json(tmp_path / "inf.json", {"mttf_seconds": math.inf})
+    assert json.loads((tmp_path / "inf.json").read_text()) == {"mttf_seconds": "inf"}
+    with pytest.raises(ValueError):
+        _write_json(tmp_path / "nan.json", {"mttf_seconds": math.nan})
 
 
 def test_cli_bad_sweep_values_exit_2(tmp_path, capsys):

@@ -104,8 +104,10 @@ def test_manhattan_hops_on_2x2_mesh():
 def test_hardware_validation():
     with pytest.raises(ValueError):
         _hw(num_tiles=0)
-    with pytest.raises(ValueError):
-        HardwareConfig(num_tiles=1, crossbar_dim=8, device_profile=_diode(), temperature=0.0)
+    for temperature in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="temperature"):
+            HardwareConfig(num_tiles=1, crossbar_dim=8, device_profile=_diode(),
+                           temperature=temperature)
     with pytest.raises(ValueError):
         HardwareConfig(num_tiles=1, crossbar_dim=8, device_profile=_diode(), tile_capacity=0)
 
@@ -150,8 +152,9 @@ def test_validate_snn_allows_self_loops():
 
 
 def test_snn_constructor_rejects_bad_numbers():
-    with pytest.raises(ValueError):
-        _snn([Cluster("a", 2, 2)], [], window=0.0)
+    for window in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="workload_window"):
+            _snn([Cluster("a", 2, 2)], [], window=window)
     with pytest.raises(ValueError):
         _snn([Cluster("a", 2, 2)], [Edge("a", "a", -1)])
     with pytest.raises(ValueError):
@@ -304,6 +307,12 @@ def test_poisson_zero_rate_gives_empty_trains():
     wl = generate_poisson_workload(shape, rate=0.0, window=1.0, seed=1)
     assert all(len(t) == 0 for t in wl.trains.values())
     assert all(e.spike_count == 0 for e in wl.snn.edges)
+
+
+def test_poisson_rejects_non_finite_window():
+    for window in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="window"):
+            generate_poisson_workload(WorkloadShape(num_clusters=2), 5.0, window, seed=1)
 
 
 def test_poisson_determinism():
