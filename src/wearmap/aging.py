@@ -40,6 +40,12 @@ from .model import (
 BOLTZMANN_EV = 8.617e-5  # eV / K
 
 
+def _require_finite(params, prefix: str, names: tuple[str, ...]) -> None:
+    for name in names:
+        if not math.isfinite(getattr(params, name)):
+            raise ValueError(f"{prefix}{name} must be finite")
+
+
 @dataclass(frozen=True)
 class TddbParams:
     """Dielectric breakdown: Weibull scale alpha = A e^(-gamma sqrt(V)) / Gamma(1+1/beta),
@@ -52,6 +58,7 @@ class TddbParams:
     t_ref: float = 300.0
 
     def __post_init__(self) -> None:
+        _require_finite(self, "tddb ", ("a", "gamma", "beta", "ea", "t_ref"))
         if self.a <= 0.0:
             raise ValueError("tddb a must be > 0")
         if self.gamma < 0.0:
@@ -75,6 +82,7 @@ class NbtiParams:
     ea: float = 0.5
 
     def __post_init__(self) -> None:
+        _require_finite(self, "", ("g0", "m", "n", "v_threshold", "ea"))
         if self.g0 < 0.0:
             raise ValueError("g0 must be >= 0")
         if self.m <= 0.0:

@@ -116,10 +116,12 @@ class DeviceProfile:
             object.__setattr__(self, "v_active", active)
         if self.v_idle is None:
             object.__setattr__(self, "v_idle", idle)
+        if not math.isfinite(self.v_active):
+            raise ValueError("v_active must be finite")
         if not (self.v_active > self.v_idle > 0.0):
             raise ValueError("device profile requires v_active > v_idle > 0")
-        if self.spike_pulse_width <= 0.0:
-            raise ValueError("spike_pulse_width must be > 0")
+        if not (math.isfinite(self.spike_pulse_width) and self.spike_pulse_width > 0.0):
+            raise ValueError("spike_pulse_width must be finite and > 0")
 
 
 def _most_square_mesh(num_tiles: int) -> tuple[int, int]:

@@ -1,21 +1,34 @@
 """Exhaustive ground truth for small mapping instances.
 
-Everything here is deliberately independent of the swarm's internals: the
-Pareto filter is the plain quadratic dominance check, and the optimum is a
-linear scan over the full enumeration. Used to validate optimizer output and
-exposed through the CLI's verify command.
+Every feasible assignment is held as one row of an (N, C) integer array, in
+lexicographic order, and tau, aging and lambda are computed for all rows at
+once: tau from integer per-tile spike arrivals and per-edge mesh hops, aging
+by looking each distinct hosted cluster set up once in the context's per-set
+cache and taking each row's worst tile. The values are bit-identical to
+EvalContext.evaluate on each mapping.
+
+Everything here is deliberately independent of the swarm's search: the
+optimum is the first argmin over the full table, and the Pareto filter is the
+plain quadratic dominance check, run over the distinct (tau, aging) pairs in
+blocks of bounded memory rather than the swarm's sort-and-sweep. Used to
+validate optimizer output and exposed through the CLI's verify command.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, isqrt
 from typing import Iterator
+
+import numpy as np
 
 from .model import ClusteredSnn, HardwareConfig, Mapping
 from .swarm import EvalContext, Evaluation, FrontPoint, InfeasibleError, ParetoFront
 
 ENUMERATION_GUARD = 10 ** 6
+# Cells per block of the (tile, mapping) arrays and of the dominance filter's
+# comparison matrix, so the oracle's working memory stays bounded.
+_BLOCK_CELLS = 1 << 20
 
 
 class GuardExceededError(RuntimeError):
@@ -49,9 +62,9 @@ def count_feasible_mappings(num_clusters: int, num_tiles: int, capacity: int) ->
     return dp[0]
 
 
-def enumerate_mappings(snn: ClusteredSnn, hw: HardwareConfig) -> Iterator[Mapping]:
-    """Yield every feasible mapping exactly once, in lexicographic assignment
-    order. The guard and feasibility checks fire eagerly at call time."""
+def _assignment_table(snn: ClusteredSnn, hw: HardwareConfig) -> np.ndarray:
+    """(N, C) array of every feasible assignment, rows in lexicographic order.
+    The guard and feasibility checks run before any row is built."""
     num_clusters = len(snn.clusters)
     if num_clusters > hw.total_capacity:
         raise InfeasibleError(
@@ -61,21 +74,95 @@ def enumerate_mappings(snn: ClusteredSnn, hw: HardwareConfig) -> Iterator[Mappin
     if count > ENUMERATION_GUARD:
         raise GuardExceededError(count, ENUMERATION_GUARD)
 
-    loads = [0] * hw.num_tiles
-    assignment = [0] * num_clusters
+    # Extend every row by one cluster per step: each row repeats once per tile
+    # that still has room, tiles ascending, so the order stays lexicographic.
+    rows = np.zeros((1, 0), dtype=np.int64)
+    loads = np.zeros((1, hw.num_tiles), dtype=np.int64)
+    for c in range(num_clusters):
+        parent, tile = np.nonzero(loads < hw.tile_capacity)
+        rows = np.column_stack((rows[parent], tile))
+        if c + 1 < num_clusters:
+            loads = loads[parent]
+            loads[np.arange(tile.size), tile] += 1
+    return rows
 
-    def rec(i: int) -> Iterator[Mapping]:
-        if i == num_clusters:
-            yield Mapping(assignment)
-            return
-        for tile in range(hw.num_tiles):
-            if loads[tile] < hw.tile_capacity:
-                loads[tile] += 1
-                assignment[i] = tile
-                yield from rec(i + 1)
-                loads[tile] -= 1
 
-    return rec(0)
+def enumerate_mappings(snn: ClusteredSnn, hw: HardwareConfig) -> Iterator[Mapping]:
+    """Yield every feasible mapping exactly once, in lexicographic assignment
+    order. The guard and feasibility checks fire eagerly at call time."""
+    rows = _assignment_table(snn, hw)
+    return (Mapping(r) for r in rows.tolist())
+
+
+def _execution_times(cols: np.ndarray, ctx: EvalContext) -> np.ndarray:
+    """perf.execution_time of every mapping in cols, the (C, n) transpose of
+    a block of rows: the same integer sums and the same final float
+    operations, so each value is bit-identical."""
+    snn, hw, p = ctx.workload.snn, ctx.hw, ctx.perf_params
+    edges = [
+        (snn.index_of[e.src], snn.index_of[e.dst], e.spike_count)
+        for e in snn.edges
+        if e.src in snn.index_of and e.dst in snn.index_of
+    ]
+    width, height = hw.mesh
+    # Python ints never overflow; fall back to them where int64 could.
+    bound = sum(c for _, _, c in edges) * max(1, width + height - 2)
+    dtype = np.int64 if bound < 2 ** 63 else object
+
+    tiles = np.arange(hw.num_tiles)
+    x, y = (tiles % width).astype(dtype)[cols], (tiles // width).astype(dtype)[cols]
+    n = cols.shape[1]
+    arrivals = np.zeros((hw.num_tiles, n), dtype=dtype)
+    comm = np.zeros(n, dtype=dtype)
+    every_row = np.arange(n)
+    for si, di, count in edges:
+        arrivals[cols[di], every_row] += count
+        comm += count * (abs(x[si] - x[di]) + abs(y[si] - y[di]))
+    load = arrivals.max(axis=0) if p.tile_parallelism else arrivals.sum(axis=0)
+    return (load * p.spike_latency + comm * p.hop_latency).astype(np.float64)
+
+
+def _hosted_set_codes(cols: np.ndarray, num_tiles: int) -> np.ndarray:
+    """One integer per (tile, mapping) of the (C, n) block cols, tile-major:
+    the bitmask of the clusters the tile hosts, equal iff the sets are. Past
+    62 clusters the bitmasks are Python ints, which never overflow."""
+    dtype = np.int64 if cols.shape[0] < 63 else object
+    codes = np.zeros((num_tiles, cols.shape[1]), dtype=dtype)
+    tiles = np.arange(num_tiles)[:, None]
+    for col in cols:
+        codes = codes * 2 + (col == tiles).astype(dtype)
+    return codes.ravel()
+
+
+def _tile_agings(cols: np.ndarray, ctx: EvalContext) -> np.ndarray:
+    """Worst-tile aging of every mapping in the (C, n) block cols. Each
+    distinct hosted set is looked up once in ctx's per-set cache; empty tiles
+    count as 0.0, the start of evaluate's running max."""
+    n = cols.shape[1]
+    codes = _hosted_set_codes(cols, ctx.hw.num_tiles)
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    values = np.zeros(first.size)
+    for k, cell in enumerate(first.tolist()):
+        tile, row = divmod(cell, n)
+        members = frozenset(np.flatnonzero(cols[:, row] == tile).tolist())
+        if members:
+            values[k] = ctx.tile_aging(members)
+    return values[inverse].reshape(-1, n).max(axis=0)
+
+
+def _objective_table(
+    snn: ClusteredSnn, hw: HardwareConfig, ctx: EvalContext
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, tau, aging) over every feasible mapping. NaN objectives are
+    refused, as extract_pareto refuses them: they have no order."""
+    rows = _assignment_table(snn, hw)
+    step = max(1, _BLOCK_CELLS // ctx.hw.num_tiles)
+    blocks = [rows[i:i + step].T.copy() for i in range(0, rows.shape[0], step)]
+    tau = np.concatenate([_execution_times(b, ctx) for b in blocks])
+    aging = np.concatenate([_tile_agings(b, ctx) for b in blocks])
+    if np.isnan(tau).any() or np.isnan(aging).any():
+        raise ValueError("an objective evaluates to NaN")
+    return rows, tau, aging
 
 
 @dataclass(frozen=True)
@@ -88,14 +175,31 @@ def brute_force_optimum(
     snn: ClusteredSnn, hw: HardwareConfig, ctx: EvalContext
 ) -> BruteForceOptimum:
     """Exact argmin of lambda over the feasible set; lexicographic first on ties."""
-    best: tuple[Mapping, Evaluation] | None = None
-    for m in enumerate_mappings(snn, hw):
-        ev = ctx.evaluate(m)
-        if best is None or ev.lam < best[1].lam:
-            best = (m, ev)
-    if best is None:
-        raise InfeasibleError("no feasible mapping")
-    return BruteForceOptimum(mapping=best[0], evaluation=best[1])
+    rows, tau, aging = _objective_table(snn, hw, ctx)
+    best = Mapping(rows[int(np.argmin(tau * aging))].tolist())
+    return BruteForceOptimum(mapping=best, evaluation=ctx.evaluate(best))
+
+
+def _non_dominated(tau: np.ndarray, aging: np.ndarray) -> np.ndarray:
+    """Quadratic dominance filter over distinct pairs sorted by (tau, aging).
+
+    A dominator is never larger in either objective and differs in one, so it
+    sorts before the point it dominates: each block of points is checked
+    against the prefix up to its own end only.
+    """
+    n = tau.size
+    keep = np.empty(n, dtype=bool)
+    side = isqrt(_BLOCK_CELLS)
+    lo = 0
+    while lo < n:
+        # step <= side, so step * (lo + step) <= _BLOCK_CELLS
+        hi = min(n, lo + max(1, _BLOCK_CELLS // (lo + side)))
+        tp, ap = tau[lo:hi, None], aging[lo:hi, None]
+        tq, aq = tau[None, :hi], aging[None, :hi]
+        dominated = (tq <= tp) & (aq <= ap) & ((tq < tp) | (aq < ap))
+        keep[lo:hi] = ~dominated.any(axis=1)
+        lo = hi
+    return keep
 
 
 def brute_force_pareto(
@@ -103,20 +207,15 @@ def brute_force_pareto(
 ) -> ParetoFront:
     """Exact non-dominated set over all feasible mappings, by the quadratic
     dominance filter (kept separate from the swarm's sweep on purpose)."""
-    pts = [
-        FrontPoint(mapping=m, tau=ev.tau, aging=ev.aging)
-        for m in enumerate_mappings(snn, hw)
-        for ev in (ctx.evaluate(m),)
-    ]
-    front = [
-        p
-        for p in pts
-        if not any(
-            q.tau <= p.tau
-            and q.aging <= p.aging
-            and (q.tau < p.tau or q.aging < p.aging)
-            for q in pts
-        )
-    ]
-    front.sort(key=lambda p: (p.tau, p.aging, p.mapping.assignment))
-    return ParetoFront(points=tuple(front))
+    rows, tau, aging = _objective_table(snn, hw, ctx)
+    # Stable sort: equal pairs keep row order, which is assignment order.
+    order = np.lexsort((aging, tau))
+    tau, aging = tau[order], aging[order]
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = (tau[1:] != tau[:-1]) | (aging[1:] != aging[:-1])
+    keep = _non_dominated(tau[starts], aging[starts])[np.cumsum(starts) - 1]
+    return ParetoFront(points=tuple(
+        FrontPoint(mapping=Mapping(r), tau=t, aging=a)
+        for r, t, a in zip(rows[order[keep]].tolist(), tau[keep].tolist(),
+                           aging[keep].tolist())
+    ))

@@ -10,6 +10,7 @@ shortest (manhattan) route, summed over edges since the mesh is shared.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .model import ClusteredSnn, HardwareConfig, Mapping, require_valid_mapping
@@ -22,10 +23,10 @@ class PerfParams:
     tile_parallelism: bool = True
 
     def __post_init__(self) -> None:
-        if self.spike_latency < 0.0:
-            raise ValueError("spike_latency must be >= 0")
-        if self.hop_latency < 0.0:
-            raise ValueError("hop_latency must be >= 0")
+        if not (math.isfinite(self.spike_latency) and self.spike_latency >= 0.0):
+            raise ValueError("spike_latency must be finite and >= 0")
+        if not (math.isfinite(self.hop_latency) and self.hop_latency >= 0.0):
+            raise ValueError("hop_latency must be finite and >= 0")
 
 
 def execution_time(

@@ -39,9 +39,10 @@ class Evaluation(NamedTuple):
 class EvalContext:
     """Shared evaluation state: instance, parameters, and memo caches.
 
-    Fitness is memoized per assignment. Tile aging is memoized per hosted
-    cluster set, since a tile's stress trace depends only on who sits on it
-    (plus their predecessors), not on which tile it is.
+    Fitness is memoized per assignment. Tile aging (the combined aging of the
+    tile's mechanisms) is memoized per hosted cluster set, since a tile's
+    stress trace depends only on who sits on it (plus their predecessors), not
+    on which tile it is.
 
     objective picks the scalar the swarm minimizes: "lambda" (tau * aging) or
     "tau" (time only). The full Evaluation is always available either way.
@@ -63,7 +64,19 @@ class EvalContext:
         self.perf_params = perf_params
         self.objective = objective
         self._fitness_cache: dict[tuple[int, ...], Evaluation] = {}
-        self._tile_cache: dict[frozenset[int], tuple[float, float, float]] = {}
+        self._tile_cache: dict[frozenset[int], float] = {}
+
+    def tile_aging(self, members: frozenset[int]) -> float:
+        """Combined aging of a tile hosting exactly `members`, computed once
+        per set."""
+        a = self._tile_cache.get(members)
+        if a is None:
+            mech = hosted_set_mechanism_agings(
+                members, self.workload, self.hw, self.aging_params
+            )
+            a = combine_aging(mech[0], mech[1], mech[2], self.aging_params.tddb.beta)
+            self._tile_cache[members] = a
+        return a
 
     def evaluate(self, mapping: Mapping) -> Evaluation:
         key = mapping.assignment
@@ -74,17 +87,9 @@ class EvalContext:
         hosted: dict[int, set[int]] = {}
         for ci, tile in enumerate(key):
             hosted.setdefault(tile, set()).add(ci)
-        beta = self.aging_params.tddb.beta
         aging = 0.0
         for members in hosted.values():
-            mkey = frozenset(members)
-            mech = self._tile_cache.get(mkey)
-            if mech is None:
-                mech = hosted_set_mechanism_agings(
-                    mkey, self.workload, self.hw, self.aging_params
-                )
-                self._tile_cache[mkey] = mech
-            a = combine_aging(mech[0], mech[1], mech[2], beta)
+            a = self.tile_aging(frozenset(members))
             if a > aging:
                 aging = a
         ev = Evaluation(tau=tau, aging=aging, lam=tau * aging)
@@ -117,10 +122,11 @@ class PsoConfig:
             raise ValueError("n_particles must be >= 2")
         if self.max_iterations is not None and self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
-        if self.phi1 < 0.0 or self.phi2 < 0.0:
-            raise ValueError("phi1 and phi2 must be >= 0")
-        if self.v_clamp <= 0.0:
-            raise ValueError("v_clamp must be > 0")
+        if not (math.isfinite(self.phi1) and math.isfinite(self.phi2)
+                and self.phi1 >= 0.0 and self.phi2 >= 0.0):
+            raise ValueError("phi1 and phi2 must be finite and >= 0")
+        if not (math.isfinite(self.v_clamp) and self.v_clamp > 0.0):
+            raise ValueError("v_clamp must be finite and > 0")
 
     def resolved(self, num_clusters: int) -> tuple[int, int]:
         n_p = self.n_particles if self.n_particles is not None else max(20, 2 * num_clusters)
@@ -381,10 +387,17 @@ class ParetoFront:
 
 
 def extract_pareto(archive: Iterable[ArchiveEntry]) -> ParetoFront:
-    """Exact non-dominated subset of the archive under (tau, aging) minimization."""
-    entries = sorted(archive, key=lambda e: (e.tau, e.aging, e.assignment))
+    """Exact non-dominated subset of the archive under (tau, aging) minimization.
+
+    NaN objectives are refused: they have no order, so neither the sort nor the
+    sweep below could place them.
+    """
+    entries = list(archive)
     if not entries:
         raise ValueError("archive is empty")
+    if any(math.isnan(e.tau) or math.isnan(e.aging) for e in entries):
+        raise ValueError("archive holds a NaN objective")
+    entries.sort(key=lambda e: (e.tau, e.aging, e.assignment))
     points: list[FrontPoint] = []
     best_aging = math.inf
     i, n = 0, len(entries)

@@ -102,6 +102,17 @@ def test_params_validation():
         NbtiParams(v_threshold=0.0)
 
 
+@pytest.mark.parametrize("ctor, field", [
+    *((TddbParams, f) for f in ("a", "gamma", "beta", "ea", "t_ref")),
+    *((NbtiParams, f) for f in ("g0", "m", "n", "v_threshold", "ea")),
+    (HciParams, "g0"),
+])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_params_reject_non_finite(ctor, field, value):
+    with pytest.raises(ValueError, match=rf"\b{field} must be finite"):
+        ctor(**{field: value})
+
+
 # ---------------------------------------------------------------- alpha
 
 

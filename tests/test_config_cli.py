@@ -339,8 +339,14 @@ workload:
     # NaN latency made every tau NaN, and the Pareto scan never advanced past one
     (BASE + "perf: {spike_latency: .nan}\n", r"perf\.spike_latency"),
     (BASE.replace("b: [0.2, 0.5]", "b: [0.2, .nan]"), r"workload\.inline\.trains\.b\[1\]"),
+    # inf used to end in a NaN aging and a traceback from _write_json (exit 1)
+    (BASE.replace("kind: diode_1D1R", "kind: diode_1D1R\n    v_active: .inf"),
+     r"hardware\.device: v_active must be finite"),
+    (BASE + "aging: {tddb: {a: .inf}}\n", r"aging\.tddb: tddb a must be finite"),
+    (BASE + "perf: {hop_latency: .inf}\n", r"perf: hop_latency must be finite"),
 ], ids=["temperature_nan", "inline_window_inf", "poisson_window_inf", "epsilon_nan",
-        "target_mttf_inf", "spike_latency_nan", "spike_time_nan"])
+        "target_mttf_inf", "spike_latency_nan", "spike_time_nan", "v_active_inf",
+        "tddb_a_inf", "hop_latency_inf"])
 def test_cli_non_finite_number_exits_2(tmp_path, capsys, text, field):
     p = _write(tmp_path, text)
     code = main(["map", "--config", str(p), "--output", str(tmp_path / "out")])

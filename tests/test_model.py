@@ -77,6 +77,13 @@ def test_device_profile_rejects_inverted_voltages():
         DeviceProfile(kind="nonsense")
 
 
+@pytest.mark.parametrize("field", ["v_active", "v_idle", "spike_pulse_width"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_device_profile_rejects_non_finite(field, value):
+    with pytest.raises(ValueError):
+        DeviceProfile(kind="diode_1D1R", **{field: value})
+
+
 def test_hardware_mesh_is_most_square():
     assert _hw(num_tiles=4).mesh == (2, 2)
     assert _hw(num_tiles=9).mesh == (3, 3)

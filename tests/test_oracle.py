@@ -2,10 +2,16 @@
 
 import itertools
 import math
+from unittest.mock import patch
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from wearmap.aging import AgingParams
+import wearmap.oracle as oracle_module
+import wearmap.swarm as swarm_module
+from wearmap.aging import AgingParams, combine_aging, hosted_set_mechanism_agings
 from wearmap.model import (
     Cluster,
     ClusteredSnn,
@@ -22,6 +28,8 @@ from wearmap.model import (
 from wearmap.oracle import (
     ENUMERATION_GUARD,
     GuardExceededError,
+    _hosted_set_codes,
+    _objective_table,
     brute_force_optimum,
     brute_force_pareto,
     count_feasible_mappings,
@@ -31,7 +39,9 @@ from wearmap.perf import PerfParams
 from wearmap.swarm import (
     ArchiveEntry,
     EvalContext,
+    FrontPoint,
     InfeasibleError,
+    ParetoFront,
     PsoConfig,
     extract_pareto,
     optimize,
@@ -172,8 +182,6 @@ def test_pareto_front_of_trade_off_instance():
     # capacity-2 tiles. Keeping the chain together forces c and d to share a
     # tile (fast but hot); splitting the chain lets c and d separate (one hop
     # slower but much cooler). Both partitions survive as front points.
-    import numpy as np
-
     rng = np.random.default_rng(17)
 
     def train(n):
@@ -237,3 +245,182 @@ def test_pareto_guard_propagates():
         brute_force_pareto(snn, ctx_big_hw, ctx)
     with pytest.raises(GuardExceededError):
         brute_force_optimum(snn, ctx_big_hw, ctx)
+
+
+def test_pareto_refuses_nan_objectives(monkeypatch):
+    # argmin would pick a NaN lambda; the table refuses it as extract_pareto does
+    ctx = _ctx(3, 2, tile_capacity=2)
+    monkeypatch.setattr(swarm_module, "combine_aging", lambda *args: math.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        brute_force_optimum(ctx.workload.snn, ctx.hw, ctx)
+    with pytest.raises(ValueError, match="NaN"):
+        brute_force_pareto(ctx.workload.snn, ctx.hw, ctx)
+
+
+# ---------------------------------------------------------------- scalar reference
+# The oracle as it was before the objective table: the recursive lexicographic
+# generator, ctx.evaluate per mapping, a strict-< argmin, and the quadratic
+# any() filter over every mapping. The table must reproduce it exactly.
+
+
+def _reference_mappings(snn, hw):
+    num_clusters = len(snn.clusters)
+    loads = [0] * hw.num_tiles
+    assignment = [0] * num_clusters
+
+    def rec(i):
+        if i == num_clusters:
+            yield Mapping(assignment)
+            return
+        for tile in range(hw.num_tiles):
+            if loads[tile] < hw.tile_capacity:
+                loads[tile] += 1
+                assignment[i] = tile
+                yield from rec(i + 1)
+                loads[tile] -= 1
+
+    return list(rec(0))
+
+
+def _reference_optimum(mappings, ctx):
+    best = None
+    for m in mappings:
+        ev = ctx.evaluate(m)
+        if best is None or ev.lam < best[1].lam:
+            best = (m, ev)
+    return best
+
+
+def _reference_pareto(mappings, ctx):
+    pts = [FrontPoint(mapping=m, tau=ev.tau, aging=ev.aging)
+           for m in mappings for ev in (ctx.evaluate(m),)]
+    front = [
+        p for p in pts
+        if not any(q.tau <= p.tau and q.aging <= p.aging
+                   and (q.tau < p.tau or q.aging < p.aging) for q in pts)
+    ]
+    front.sort(key=lambda p: (p.tau, p.aging, p.mapping.assignment))
+    return ParetoFront(points=tuple(front))
+
+
+def _assert_matches_reference(workload, hw, perf=PerfParams()):
+    snn = workload.snn
+    ref_ctx = EvalContext(workload, hw, AgingParams(), perf)
+    ctx = EvalContext(workload, hw, AgingParams(), perf)
+    mappings = _reference_mappings(snn, hw)
+    assert [m.assignment for m in enumerate_mappings(snn, hw)] == [
+        m.assignment for m in mappings]
+
+    want = [ref_ctx.evaluate(m) for m in mappings]
+    ref_map, ref_ev = _reference_optimum(mappings, ref_ctx)
+    ref_front = _reference_pareto(mappings, ref_ctx)
+    # The default blocks hold every small instance whole; 16-cell blocks split
+    # both the objective table and the dominance filter into many blocks.
+    for block_cells in (oracle_module._BLOCK_CELLS, 16):
+        with patch.object(oracle_module, "_BLOCK_CELLS", block_cells):
+            rows, tau, aging = _objective_table(snn, hw, ctx)
+            assert [tuple(r) for r in rows.tolist()] == [m.assignment for m in mappings]
+            assert tau.tolist() == [ev.tau for ev in want]
+            assert aging.tolist() == [ev.aging for ev in want]
+            assert (tau * aging).tolist() == [ev.lam for ev in want]
+
+            opt = brute_force_optimum(snn, hw, ctx)
+            assert opt.mapping == ref_map
+            assert opt.evaluation == ref_ev
+            assert brute_force_pareto(snn, hw, ctx) == ref_front
+
+
+_MESHES = [(2, 2), (3, 1), (2, 3), (1, 2), (3, 3), (2, 1), (1, 3), (3, 2), (1, 1)]
+
+
+@st.composite
+def _instances(draw):
+    width, height = draw(st.sampled_from(_MESHES))
+    num_tiles = width * height
+    # keep the scalar reference (quadratic in the mapping count) fast
+    max_clusters = 6
+    while num_tiles ** max_clusters > 1500:
+        max_clusters -= 1
+    num_clusters = draw(st.integers(1, max_clusters))
+    capacity = draw(st.integers(-(-num_clusters // num_tiles), num_clusters))
+    hw = HardwareConfig(
+        num_tiles=num_tiles, crossbar_dim=64, mesh=(width, height),
+        device_profile=DeviceProfile(kind="diode_1D1R"), tile_capacity=capacity,
+    )
+    ids = [f"c{i}" for i in range(num_clusters)]
+    # one draw in four is silent: every tau and aging 0, so all lambdas tie
+    silent = draw(st.sampled_from([False, False, False, True]))
+    endpoint = st.sampled_from(ids + ["ghost"])  # "ghost" never resolves
+    edges = [
+        Edge(src, dst, 0 if silent else count)
+        for src, dst, count in draw(st.lists(
+            st.tuples(endpoint, endpoint, st.integers(0, 40)), min_size=1, max_size=8))
+    ]
+    grid = st.integers(0, 19).map(lambda k: k / 20.0)  # shared times overlap
+    trains = {
+        cid: SpikeTrain([] if silent else draw(st.lists(grid, max_size=5)))
+        for cid in ids
+    }
+    snn = ClusteredSnn([Cluster(cid, 4, 8) for cid in ids], edges, 1.0)
+    perf = PerfParams(
+        spike_latency=draw(st.sampled_from([1e-6, 2.5e-6, 0.0])),
+        hop_latency=draw(st.sampled_from([1e-7, 3e-6, 0.0])),
+        tile_parallelism=draw(st.booleans()),
+    )
+    return Workload(snn=snn, trains=trains), hw, perf
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_instances())
+def test_oracle_matches_scalar_reference(instance):
+    workload, hw, perf = instance
+    _assert_matches_reference(workload, hw, perf)
+
+
+def test_many_clusters_on_one_tile():
+    # 70 clusters fit one tile within the guard: one mapping, whose hosted set
+    # needs a 70-bit code.
+    snn = ClusteredSnn([Cluster(f"c{i}", 4, 8) for i in range(70)],
+                       [Edge(f"c{i}", f"c{i + 1}", 1) for i in range(69)], 1.0)
+    trains = {c.id: SpikeTrain([i / 100.0]) for i, c in enumerate(snn.clusters)}
+    workload = Workload(snn=snn, trains=trains)
+    hw = _hw(1, tile_capacity=70)
+    assert count_feasible_mappings(70, 1, 70) == 1
+    _assert_matches_reference(workload, hw)
+
+    # int64 bitmasks would wrap: {c0} on tile 1 would read as the empty set
+    rows = np.array([[1] + [0] * 69, [0] * 70])
+    codes = _hosted_set_codes(rows.T.copy(), 2).tolist()  # tile-major cells
+    assert codes[2] == 2 ** 69 and codes[3] == 0
+    assert len(set(codes)) == 4
+
+
+def test_tau_past_int64_stays_exact():
+    # spike counts whose hop products overflow int64 fall back to Python ints
+    snn = ClusteredSnn([Cluster(x, 4, 8) for x in "abc"],
+                       [Edge("a", "b", 2 ** 62), Edge("b", "c", 2 ** 62 + 1)], 1.0)
+    trains = {x: SpikeTrain([0.5]) for x in "abc"}
+    _assert_matches_reference(Workload(snn=snn, trains=trains), _hw(3, tile_capacity=2))
+
+
+def test_tile_aging_is_combined_kernel_once_per_set(monkeypatch):
+    ctx = _ctx(4, 2, tile_capacity=3, seed=3)
+    calls = []
+
+    def counting(members, *args):
+        calls.append(members)
+        return hosted_set_mechanism_agings(members, *args)
+
+    monkeypatch.setattr(swarm_module, "hosted_set_mechanism_agings", counting)
+    beta = ctx.aging_params.tddb.beta
+    for s in (frozenset({0}), frozenset({1, 3}), frozenset({0, 1, 2})):
+        want = combine_aging(
+            *hosted_set_mechanism_agings(s, ctx.workload, ctx.hw, ctx.aging_params), beta)
+        assert ctx.tile_aging(s) == want
+        assert ctx.tile_aging(s) == want
+    assert calls == [frozenset({0}), frozenset({1, 3}), frozenset({0, 1, 2})]
+    # the oracle and evaluate read the same cache: each set is computed once
+    brute_force_pareto(ctx.workload.snn, ctx.hw, ctx)
+    ctx.evaluate(Mapping([0, 0, 1, 1]))
+    assert len(calls) == len(set(calls))

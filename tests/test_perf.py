@@ -43,6 +43,10 @@ def test_perf_validation():
         PerfParams(spike_latency=-1.0)
     with pytest.raises(ValueError):
         PerfParams(hop_latency=-1.0)
+    for field in ("spike_latency", "hop_latency"):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                PerfParams(**{field: value})
 
 
 def test_no_edges_costs_nothing():

@@ -90,6 +90,10 @@ def test_pso_config_validation():
         PsoConfig(v_clamp=0.0)
     with pytest.raises(ValueError):
         PsoConfig(max_iterations=-1)
+    for field in ("phi1", "phi2", "v_clamp"):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="must be finite"):
+                PsoConfig(**{field: value})
 
 
 # ---------------------------------------------------------------- fitness
@@ -419,6 +423,14 @@ def _entry(assign, tau, aging, it=0):
 def test_extract_pareto_empty_errors():
     with pytest.raises(ValueError):
         extract_pareto([])
+
+
+@pytest.mark.parametrize("tau, aging", [(math.nan, 1.0), (1.0, math.nan)])
+def test_extract_pareto_rejects_nan(tau, aging):
+    # A NaN tau used to stall the equal-tau group scan forever (NaN != NaN).
+    entries = [_entry([0], 1.0, 2.0), _entry([1], tau, aging)]
+    with pytest.raises(ValueError, match="NaN"):
+        extract_pareto(entries)
 
 
 def test_extract_pareto_single_point():
