@@ -181,12 +181,17 @@ def reliability_at(
     raise AssertionError("unreachable")
 
 
+def strain_prefactor(g: NbtiParams, temperature: float, t_ref: float) -> float:
+    """g0(T): the NBTI/HCI prefactor with its Arrhenius acceleration away from
+    t_ref. Raises OverflowError where the acceleration leaves the floats."""
+    return g.g0 * math.exp((g.ea / BOLTZMANN_EV) * (1.0 / t_ref - 1.0 / temperature))
+
+
 def _strain_terms(over: np.ndarray, durations: np.ndarray, temperature: float,
                   g: NbtiParams, t_ref: float) -> np.ndarray:
     """g0(T) (V - v_threshold)^m d^n per stressed segment. Both the trace path
     and the pulse-run kernel evaluate this one expression."""
-    g0_t = g.g0 * math.exp((g.ea / BOLTZMANN_EV) * (1.0 / t_ref - 1.0 / temperature))
-    return g0_t * over ** g.m * durations ** g.n
+    return strain_prefactor(g, temperature, t_ref) * over ** g.m * durations ** g.n
 
 
 def _strain_aging(trace: VoltageTrace, temperature: float, g: NbtiParams,
@@ -243,7 +248,9 @@ def combine_aging(a_tddb: float, a_nbti: float, a_hci: float, beta: float) -> fl
     K = 3 mechanism slots. Zero slots contribute e^0 = 1 and cancel against the
     -(K-1), so a single active mechanism passes through exactly (returned
     as-is, no round trip). expm1/log1p carry the small-aging regime and a
-    factored form the large one.
+    factored form the large one. An infinite mechanism makes the result
+    infinite, and once the largest A^beta leaves the floats the log term (at
+    most ln K) vanishes against it, so the largest aging is returned.
     """
     if beta <= 0.0:
         raise ValueError("beta must be > 0")
@@ -253,9 +260,12 @@ def combine_aging(a_tddb: float, a_nbti: float, a_hci: float, beta: float) -> fl
     active = sorted(v for v in vals if v > 0.0)
     if not active:
         return 0.0
-    if len(active) == 1:
-        return active[0]
-    z = [v ** beta for v in active]
+    if len(active) == 1 or math.isinf(active[-1]):
+        return active[-1]
+    try:
+        z = [v ** beta for v in active]
+    except OverflowError:
+        return active[-1]
     zmax = z[-1]
     if zmax < 700.0:
         ln_sum = math.log1p(math.fsum(math.expm1(zi) for zi in z))

@@ -32,7 +32,7 @@ from .aging import (
     evaluate_hardware_aging,
     mttf_from_aging,
 )
-from .config import YEAR_SECONDS, ConfigError, RunConfig, load_run_config
+from .config import YEAR_SECONDS, ConfigError, RunConfig, check_wear_rates, load_run_config
 from .model import (
     DeviceProfile,
     HardwareConfig,
@@ -257,6 +257,10 @@ def cmd_sweep(args, cfg: RunConfig, out_dir: Path) -> int:
     results = []
     for value in values:
         hw = _hardware_variant(cfg.hardware, args.axis, value)
+        try:
+            check_wear_rates(cfg.aging, hw)
+        except ConfigError as e:
+            raise ConfigError(f"--values: {e}") from e
         _require_feasible(workload, hw)
         ctx, res = _run_pso(cfg, args.seed, hw)
         selected = select_final(res.front, cfg.epsilon)
@@ -304,11 +308,12 @@ def cmd_compare(args, cfg: RunConfig, out_dir: Path) -> int:
     # Medians are taken per metric, so the row is not one single mapping.
     rng = np.random.default_rng(pso.seed)
     num_clusters = len(workload.snn.clusters)
-    samples = []
+    assignments = []
     for _ in range(cfg.n_random):
         bits = rng.integers(0, 2, size=(num_clusters, hw.num_tiles))
         pref = rng.random((num_clusters, hw.num_tiles))
-        samples.append(ctx_joint.evaluate(repair(bits, hw, rng, pref=pref)))
+        assignments.append(repair(bits, hw, rng, pref=pref).assignment)
+    samples = ctx_joint.evaluate_rows(np.array(assignments))
     rand_tau = statistics.median(s.tau for s in samples)
     rand_aging = statistics.median(s.aging for s in samples)
 

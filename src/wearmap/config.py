@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
 import yaml
 
-from .aging import AgingParams, HciParams, NbtiParams, TddbParams
+from .aging import AgingParams, HciParams, NbtiParams, TddbParams, alpha, strain_prefactor
 from .model import (
     Cluster,
     ClusteredSnn,
@@ -296,6 +297,29 @@ def _parse_workload(node, path: str) -> Workload:
     return _parse_inline_workload(d["inline"], f"{path}.inline")
 
 
+def check_wear_rates(aging: AgingParams, hw: HardwareConfig) -> None:
+    """Refuse wear constants whose rates leave the positive finite floats at
+    hw's temperature and voltages, naming the mechanism. Each constant can be
+    finite on its own: an alpha of 0 made TDDB aging inf and the combined
+    aging NaN, and an Arrhenius factor past the floats raised OverflowError
+    in the middle of a search."""
+    temp, dev = hw.temperature, hw.device_profile
+    rates = [(f"aging.tddb: alpha(v_{kind}={v!r} V, T={temp!r} K)", alpha, (v, temp, aging))
+             for kind, v in (("active", dev.v_active), ("idle", dev.v_idle))]
+    for name, g, used in (("nbti", aging.nbti, True), ("hci", aging.hci, aging.hci.enabled)):
+        if used and g.g0 > 0.0:
+            rates.append((f"aging.{name}: g0(T={temp!r} K)", strain_prefactor,
+                          (g, temp, aging.tddb.t_ref)))
+    for label, rate, args in rates:
+        try:
+            with np.errstate(all="ignore"):
+                value = rate(*args)
+        except OverflowError:
+            value = math.inf
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(f"{label} is {value!r}; it must be finite and > 0")
+
+
 @dataclass
 class RunConfig:
     """Parsed and validated run configuration plus the verbatim source text."""
@@ -340,6 +364,7 @@ def parse_run_config(text: str) -> RunConfig:
 
     hardware = _parse_hardware(_get(root, "hardware", "config", dict), "hardware")
     aging = _parse_aging(root["aging"], "aging") if "aging" in root else AgingParams()
+    check_wear_rates(aging, hardware)
     perf = _parse_perf(root["perf"], "perf") if "perf" in root else PerfParams()
     pso = _parse_pso(root["pso"], "pso") if "pso" in root else PsoConfig()
     workload = _parse_workload(_get(root, "workload", "config", dict), "workload")

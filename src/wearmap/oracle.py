@@ -2,9 +2,9 @@
 
 Every feasible assignment is held as one row of an (N, C) integer array, in
 lexicographic order, and tau, aging and lambda are computed for all rows at
-once: tau from integer per-tile spike arrivals and per-edge mesh hops, aging
-by looking each distinct hosted cluster set up once in the context's per-set
-cache and taking each row's worst tile. The values are bit-identical to
+once: tau through perf.execution_times, the path the swarm uses too, and
+aging by looking each distinct hosted cluster set up once in the context's
+per-set cache and taking each row's worst tile. The values are bit-identical to
 EvalContext.evaluate on each mapping.
 
 Everything here is deliberately independent of the swarm's search: the
@@ -23,6 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from .model import ClusteredSnn, HardwareConfig, Mapping
+from .perf import execution_times
 from .swarm import EvalContext, Evaluation, FrontPoint, InfeasibleError, ParetoFront
 
 ENUMERATION_GUARD = 10 ** 6
@@ -94,34 +95,6 @@ def enumerate_mappings(snn: ClusteredSnn, hw: HardwareConfig) -> Iterator[Mappin
     return (Mapping(r) for r in rows.tolist())
 
 
-def _execution_times(cols: np.ndarray, ctx: EvalContext) -> np.ndarray:
-    """perf.execution_time of every mapping in cols, the (C, n) transpose of
-    a block of rows: the same integer sums and the same final float
-    operations, so each value is bit-identical."""
-    snn, hw, p = ctx.workload.snn, ctx.hw, ctx.perf_params
-    edges = [
-        (snn.index_of[e.src], snn.index_of[e.dst], e.spike_count)
-        for e in snn.edges
-        if e.src in snn.index_of and e.dst in snn.index_of
-    ]
-    width, height = hw.mesh
-    # Python ints never overflow; fall back to them where int64 could.
-    bound = sum(c for _, _, c in edges) * max(1, width + height - 2)
-    dtype = np.int64 if bound < 2 ** 63 else object
-
-    tiles = np.arange(hw.num_tiles)
-    x, y = (tiles % width).astype(dtype)[cols], (tiles // width).astype(dtype)[cols]
-    n = cols.shape[1]
-    arrivals = np.zeros((hw.num_tiles, n), dtype=dtype)
-    comm = np.zeros(n, dtype=dtype)
-    every_row = np.arange(n)
-    for si, di, count in edges:
-        arrivals[cols[di], every_row] += count
-        comm += count * (abs(x[si] - x[di]) + abs(y[si] - y[di]))
-    load = arrivals.max(axis=0) if p.tile_parallelism else arrivals.sum(axis=0)
-    return (load * p.spike_latency + comm * p.hop_latency).astype(np.float64)
-
-
 def _hosted_set_codes(cols: np.ndarray, num_tiles: int) -> np.ndarray:
     """One integer per (tile, mapping) of the (C, n) block cols, tile-major:
     the bitmask of the clusters the tile hosts, equal iff the sets are. Past
@@ -158,7 +131,9 @@ def _objective_table(
     rows = _assignment_table(snn, hw)
     step = max(1, _BLOCK_CELLS // ctx.hw.num_tiles)
     blocks = [rows[i:i + step].T.copy() for i in range(0, rows.shape[0], step)]
-    tau = np.concatenate([_execution_times(b, ctx) for b in blocks])
+    tau = np.concatenate([
+        execution_times(b.T, ctx.workload.snn, ctx.hw, ctx.perf_params) for b in blocks
+    ])
     aging = np.concatenate([_tile_agings(b, ctx) for b in blocks])
     if np.isnan(tau).any() or np.isnan(aging).any():
         raise ValueError("an objective evaluates to NaN")

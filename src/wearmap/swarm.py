@@ -9,6 +9,12 @@ minimized is the product fitness lambda = tau * aging (or tau alone when the
 context selects the time-only objective). Every feasible evaluation lands in
 an archive from which the (tau, aging) Pareto front is extracted afterwards.
 
+A step works on the whole swarm at once: one binarize over the (n_p, C, T)
+velocity, one repair_rows over all particles, and one
+EvalContext.evaluate_rows, whose tau comes from perf.execution_times, the
+path the exhaustive oracle uses as well. Python loops over particles only for
+the overloaded rows repair has to move and for the archive and best updates.
+
 All randomness flows from one seeded generator, and best-updates reduce in
 particle-index order, so a run is a pure function of (instance, config).
 """
@@ -23,7 +29,7 @@ import numpy as np
 
 from .aging import AgingParams, combine_aging, hosted_set_mechanism_agings
 from .model import ClusteredSnn, HardwareConfig, Mapping, Workload
-from .perf import PerfParams, execution_time
+from .perf import PerfParams, execution_time, execution_times
 
 
 class InfeasibleError(RuntimeError):
@@ -78,23 +84,49 @@ class EvalContext:
             self._tile_cache[members] = a
         return a
 
-    def evaluate(self, mapping: Mapping) -> Evaluation:
-        key = mapping.assignment
-        hit = self._fitness_cache.get(key)
-        if hit is not None:
-            return hit
-        tau = execution_time(self.workload.snn, mapping, self.hw, self.perf_params)
+    def _worst_tile_aging(self, assignment: tuple[int, ...]) -> float:
         hosted: dict[int, set[int]] = {}
-        for ci, tile in enumerate(key):
+        for ci, tile in enumerate(assignment):
             hosted.setdefault(tile, set()).add(ci)
         aging = 0.0
         for members in hosted.values():
             a = self.tile_aging(frozenset(members))
             if a > aging:
                 aging = a
+        return aging
+
+    def evaluate(self, mapping: Mapping) -> Evaluation:
+        key = mapping.assignment
+        hit = self._fitness_cache.get(key)
+        if hit is not None:
+            return hit
+        tau = execution_time(self.workload.snn, mapping, self.hw, self.perf_params)
+        aging = self._worst_tile_aging(key)
         ev = Evaluation(tau=tau, aging=aging, lam=tau * aging)
         self._fitness_cache[key] = ev
         return ev
+
+    def evaluate_rows(self, rows: np.ndarray) -> list[Evaluation]:
+        """evaluate for every row of an (n, C) array of feasible assignments,
+        such as repair_rows returns; the rows are not validated again. Tau of
+        the rows missing from the memo comes from one execution_times call;
+        memo hits return the stored tuple, as evaluate does."""
+        rows = np.asarray(rows)
+        keys = list(map(tuple, rows.tolist()))
+        out = [self._fitness_cache.get(key) for key in keys]
+        todo = [i for i, ev in enumerate(out) if ev is None]
+        if todo:
+            taus = execution_times(rows[todo], self.workload.snn, self.hw,
+                                   self.perf_params).tolist()
+            for i, tau in zip(todo, taus):
+                key = keys[i]
+                ev = self._fitness_cache.get(key)  # the same row earlier in the batch
+                if ev is None:
+                    aging = self._worst_tile_aging(key)
+                    ev = Evaluation(tau=tau, aging=aging, lam=tau * aging)
+                    self._fitness_cache[key] = ev
+                out[i] = ev
+        return out
 
     def objective_value(self, ev: Evaluation) -> float:
         return ev.lam if self.objective == "lambda" else ev.tau
@@ -185,6 +217,61 @@ def binarize(position: np.ndarray, velocity: np.ndarray,
     return np.where(rng.random(v.shape) < vhat, 0, 1)
 
 
+def _ring_walk(tile: int, mesh: tuple[int, int]):
+    """Every other tile of the mesh in ascending (manhattan hops, index) order.
+
+    Ring d holds the tiles d hops away; within a ring, ascending index is
+    ascending row, then ascending column. Nothing of size T x T is built.
+    """
+    width, height = mesh
+    y0, x0 = divmod(tile, width)
+    for d in range(1, width + height - 1):
+        for y in range(max(0, y0 - d), min(height - 1, y0 + d) + 1):
+            dx = d - abs(y - y0)
+            if x0 - dx >= 0:
+                yield y * width + x0 - dx
+            if dx and x0 + dx < width:
+                yield y * width + x0 + dx
+
+
+def repair_rows(bits: np.ndarray, pref: np.ndarray, hw: HardwareConfig) -> np.ndarray:
+    """Project a batch of (n, C, T) cluster-by-tile matrices onto feasible
+    assignments, returned as an (n, C) int64 array.
+
+    A row with exactly one nonzero entry keeps its tile; any other row takes
+    the column of highest pref (ties to the lowest tile). Overloaded tiles,
+    visited in ascending index, evict their highest-index clusters first, each
+    to the first tile with room in (manhattan hops, index) order, found by a
+    ring walk out from the overloaded tile. A tile that is not overloaded at
+    the start never becomes so, and one walk serves all of a tile's evictions,
+    because the tiles it passes stay full. Only particles with an overloaded
+    tile enter that Python loop. The caller guarantees C <= total capacity.
+    """
+    nonzero = np.asarray(bits) != 0
+    rows = np.where(nonzero.sum(axis=2) == 1, nonzero.argmax(axis=2),
+                    np.asarray(pref).argmax(axis=2)).astype(np.int64)
+    n, num_tiles = rows.shape[0], hw.num_tiles
+    cap = hw.tile_capacity
+    offsets = rows + num_tiles * np.arange(n)[:, None]
+    loads = np.bincount(offsets.ravel(), minlength=n * num_tiles).reshape(n, num_tiles)
+    for i in np.flatnonzero((loads > cap).any(axis=1)).tolist():
+        row, load = rows[i].tolist(), loads[i].tolist()
+        leaving: dict[int, list[int]] = {}  # overloaded tile -> clusters, highest first
+        for c in range(len(row) - 1, -1, -1):
+            if load[row[c]] > cap:
+                leaving.setdefault(row[c], []).append(c)
+        for tile in sorted(leaving):
+            walk = _ring_walk(tile, hw.mesh)
+            dest = tile
+            for c in leaving[tile][:load[tile] - cap]:
+                while load[dest] >= cap:
+                    dest = next(walk)
+                row[c] = dest
+                load[dest] += 1
+        rows[i] = row
+    return rows
+
+
 def repair(
     binary: np.ndarray,
     hw: HardwareConfig,
@@ -193,12 +280,13 @@ def repair(
 ) -> Mapping:
     """Project an arbitrary binary matrix onto the feasible mapping set.
 
-    Rows without exactly one 1 get their 1 at the column of highest pref (the
-    pre-binarization sigmoid velocities; ties to the lowest tile). Overloaded
-    tiles, visited in ascending index, evict their most recently assigned
-    clusters to the nearest tile with free capacity (manhattan distance, ties
-    to the lowest index). Both rules are deterministic; rng is accepted for
-    interface symmetry with binarize but never consumed.
+    The one-matrix case of repair_rows: rows without exactly one 1 get their 1
+    at the column of highest pref (the pre-binarization sigmoid velocities;
+    ties to the lowest tile; all zeros when pref is None). Overloaded tiles,
+    visited in ascending index, evict their most recently assigned clusters to
+    the nearest tile with free capacity (manhattan distance, ties to the
+    lowest index). Both rules are deterministic; rng is accepted for interface
+    symmetry with binarize but never consumed.
     """
     b = np.asarray(binary)
     if b.ndim != 2 or b.shape[1] != hw.num_tiles:
@@ -216,27 +304,7 @@ def repair(
         prefm = np.asarray(pref, dtype=np.float64)
         if prefm.shape != (num_clusters, num_tiles):
             raise ValueError(f"pref shape {prefm.shape} does not match {b.shape}")
-
-    assignment = np.empty(num_clusters, dtype=np.int64)
-    for i in range(num_clusters):
-        ones = np.flatnonzero(b[i])
-        if ones.size == 1:
-            assignment[i] = ones[0]
-        else:
-            assignment[i] = int(np.argmax(prefm[i]))
-
-    loads = np.bincount(assignment, minlength=num_tiles)
-    for tile in range(num_tiles):
-        while loads[tile] > hw.tile_capacity:
-            mover = int(np.flatnonzero(assignment == tile)[-1])
-            dest = min(
-                (t for t in range(num_tiles) if loads[t] < hw.tile_capacity),
-                key=lambda t: (hw.manhattan_hops(tile, t), t),
-            )
-            assignment[mover] = dest
-            loads[tile] -= 1
-            loads[dest] += 1
-    return Mapping(assignment.tolist())
+    return Mapping(repair_rows(b[None], prefm[None], hw)[0].tolist())
 
 
 def _corner(assignment: tuple[int, ...], num_tiles: int) -> np.ndarray:
@@ -247,13 +315,13 @@ def _corner(assignment: tuple[int, ...], num_tiles: int) -> np.ndarray:
 
 def _archive_insert(
     archive: dict[tuple[int, ...], ArchiveEntry],
-    mapping: Mapping,
+    assignment: tuple[int, ...],
     ev: Evaluation,
     iteration: int,
 ) -> None:
-    if mapping.assignment not in archive:
-        archive[mapping.assignment] = ArchiveEntry(
-            assignment=mapping.assignment,
+    if assignment not in archive:
+        archive[assignment] = ArchiveEntry(
+            assignment=assignment,
             tau=ev.tau,
             aging=ev.aging,
             lam=ev.lam,
@@ -263,7 +331,9 @@ def _archive_insert(
 
 def initialize_swarm(cfg: PsoConfig, ctx: EvalContext) -> SwarmState:
     """Seeded start: every particle sits at a repaired random binary corner
-    with zero velocity, already evaluated and archived as iteration 0."""
+    with zero velocity, already evaluated and archived as iteration 0. The
+    draws stay per particle (bits, then pref); repair and evaluation run once
+    over the stacked arrays."""
     snn = ctx.workload.snn
     num_clusters = len(snn.clusters)
     num_tiles = ctx.hw.num_tiles
@@ -272,37 +342,38 @@ def initialize_swarm(cfg: PsoConfig, ctx: EvalContext) -> SwarmState:
             f"{num_clusters} clusters exceed total capacity {ctx.hw.total_capacity}"
         )
     n_p, _ = cfg.resolved(num_clusters)
-    dim = num_clusters * num_tiles
     rng = np.random.default_rng(cfg.seed)
 
-    positions = np.empty((n_p, dim))
+    bits = np.empty((n_p, num_clusters, num_tiles), dtype=np.int64)
+    prefs = np.empty((n_p, num_clusters, num_tiles))
+    for i in range(n_p):
+        bits[i] = rng.integers(0, 2, (num_clusters, num_tiles))
+        prefs[i] = rng.random((num_clusters, num_tiles))
+    rows = repair_rows(bits, prefs, ctx.hw)
+    evals = ctx.evaluate_rows(rows)
+
+    positions = np.empty((n_p, num_clusters * num_tiles))
     p_best_fit = np.empty(n_p)
     p_best_map: list[Mapping] = []
-    p_best_eval: list[Evaluation] = []
     archive: dict[tuple[int, ...], ArchiveEntry] = {}
-    for i in range(n_p):
-        bits = rng.integers(0, 2, (num_clusters, num_tiles))
-        pref = rng.random((num_clusters, num_tiles))
-        m = repair(bits, ctx.hw, rng, pref=pref)
-        ev = ctx.evaluate(m)
-        positions[i] = _corner(m.assignment, num_tiles)
+    for i, (assignment, ev) in enumerate(zip(map(tuple, rows.tolist()), evals)):
+        positions[i] = _corner(assignment, num_tiles)
         p_best_fit[i] = ctx.objective_value(ev)
-        p_best_map.append(m)
-        p_best_eval.append(ev)
-        _archive_insert(archive, m, ev, 0)
+        p_best_map.append(Mapping(assignment))
+        _archive_insert(archive, assignment, ev, 0)
 
     best = int(np.argmin(p_best_fit))
     return SwarmState(
         positions=positions,
-        velocities=np.zeros((n_p, dim)),
+        velocities=np.zeros_like(positions),
         p_best_pos=positions.copy(),
         p_best_fit=p_best_fit,
         p_best_map=p_best_map,
-        p_best_eval=p_best_eval,
+        p_best_eval=evals,
         g_best_pos=positions[best].copy(),
         g_best_fit=float(p_best_fit[best]),
         g_best_map=p_best_map[best],
-        g_best_eval=p_best_eval[best],
+        g_best_eval=evals[best],
         iteration=0,
         rng=rng,
         archive=archive,
@@ -314,9 +385,11 @@ def step_swarm(state: SwarmState, cfg: PsoConfig, ctx: EvalContext) -> SwarmStat
 
     Velocity gains fresh uniform pulls toward the personal and global best
     corners and is clamped to +-v_clamp; the real position integrates it.
-    Each particle is then binarized, repaired, evaluated, and archived;
-    personal bests update on strict improvement, the global best last (ties
-    keep the incumbent, equal minima resolve to the lowest particle index).
+    The whole swarm is then binarized (one draw, the same stream as one draw
+    per particle in turn), repaired and evaluated in one batch, and archived
+    in particle order; personal bests update on strict improvement, the
+    global best last (ties keep the incumbent, equal minima resolve to the
+    lowest particle index).
     """
     n_p, dim = state.positions.shape
     num_tiles = ctx.hw.num_tiles
@@ -334,19 +407,18 @@ def step_swarm(state: SwarmState, cfg: PsoConfig, ctx: EvalContext) -> SwarmStat
     state.positions = state.positions + vel
     state.iteration += 1
 
-    for i in range(n_p):
-        vmat = vel[i].reshape(num_clusters, num_tiles)
-        bits = binarize(
-            state.positions[i].reshape(num_clusters, num_tiles), vmat, state.rng
-        )
-        m = repair(bits, ctx.hw, state.rng, pref=_sigmoid(vmat))
-        ev = ctx.evaluate(m)
-        _archive_insert(state.archive, m, ev, state.iteration)
+    shape = (n_p, num_clusters, num_tiles)
+    vmat = vel.reshape(shape)
+    bits = binarize(state.positions.reshape(shape), vmat, state.rng)
+    rows = repair_rows(bits, _sigmoid(vmat), ctx.hw)
+    evals = ctx.evaluate_rows(rows)
+    for i, (assignment, ev) in enumerate(zip(map(tuple, rows.tolist()), evals)):
+        _archive_insert(state.archive, assignment, ev, state.iteration)
         scalar = ctx.objective_value(ev)
         if scalar < state.p_best_fit[i]:
             state.p_best_fit[i] = scalar
-            state.p_best_pos[i] = _corner(m.assignment, num_tiles)
-            state.p_best_map[i] = m
+            state.p_best_pos[i] = _corner(assignment, num_tiles)
+            state.p_best_map[i] = Mapping(assignment)
             state.p_best_eval[i] = ev
 
     best = int(np.argmin(state.p_best_fit))
@@ -406,7 +478,8 @@ def extract_pareto(archive: Iterable[ArchiveEntry]) -> ParetoFront:
         while j < n and entries[j].tau == entries[i].tau:
             j += 1
         group_min = entries[i].aging  # group is aging-sorted; first is the min
-        if group_min < best_aging:
+        # The fastest group is never dominated, even when its aging is inf.
+        if not points or group_min < best_aging:
             for k in range(i, j):
                 if entries[k].aging != group_min:
                     break

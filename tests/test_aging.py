@@ -425,6 +425,23 @@ def test_combine_at_least_max_and_symmetric():
         assert combine_aging(*perm, 2.0) == res
 
 
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 3.5])
+@pytest.mark.parametrize("x", [0.0, 1e-9, 1.0, 800.0, 1e300])
+def test_combine_infinite_mechanism_is_infinite(x, beta):
+    # The large-z branch used to subtract inf from inf and return NaN.
+    assert combine_aging(math.inf, x, 0.0, beta) == math.inf
+    assert combine_aging(x, 0.0, math.inf, beta) == math.inf
+    assert combine_aging(math.inf, math.inf, x, beta) == math.inf
+
+
+def test_combine_power_past_the_floats_returns_largest():
+    # 1e200^2 raised OverflowError; ln(e^z + ...) equals z to double precision
+    # there, so the combined aging is the largest mechanism's.
+    assert combine_aging(1e200, 1.0, 0.0, 2.0) == 1e200
+    assert combine_aging(1e-3, 1e200, 1e199, 2.0) == 1e200
+    assert combine_aging(1e150, 1e150, 0.0, 2.0) == pytest.approx(1e150, rel=1e-15)
+
+
 def test_combine_rejects_negative():
     with pytest.raises(ValueError):
         combine_aging(-1.0, 0.0, 0.0, 2.0)

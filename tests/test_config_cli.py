@@ -344,14 +344,49 @@ workload:
      r"hardware\.device: v_active must be finite"),
     (BASE + "aging: {tddb: {a: .inf}}\n", r"aging\.tddb: tddb a must be finite"),
     (BASE + "perf: {hop_latency: .inf}\n", r"perf: hop_latency must be finite"),
+    # finite constants whose rates leave the floats: alpha underflowed to 0, the
+    # combined aging became inf - inf = NaN, and map and verify exited 1
+    (BASE + "aging: {tddb: {gamma: 1.0e+300}}\n",
+     r"aging\.tddb: alpha\(v_active=3\.0 V, T=300\.0 K\) is 0\.0"),
+    (BASE + "aging: {tddb: {ea: 1.0e+10, t_ref: 400.0}}\n", r"aging\.tddb: alpha.* is inf"),
+    (BASE + "aging: {nbti: {ea: 1.0e+10}, tddb: {t_ref: 200.0}}\n",
+     r"aging\.nbti: g0\(T=300\.0 K\) is inf"),
+    (BASE + "aging: {hci: {enabled: true, g0: 1.0e-300, ea: 10.0}, tddb: {t_ref: 400.0}}\n",
+     r"aging\.hci: g0\(T=300\.0 K\) is 0\.0"),
 ], ids=["temperature_nan", "inline_window_inf", "poisson_window_inf", "epsilon_nan",
         "target_mttf_inf", "spike_latency_nan", "spike_time_nan", "v_active_inf",
-        "tddb_a_inf", "hop_latency_inf"])
+        "tddb_a_inf", "hop_latency_inf", "tddb_alpha_underflow", "tddb_alpha_overflow",
+        "nbti_g0_overflow", "hci_g0_underflow"])
 def test_cli_non_finite_number_exits_2(tmp_path, capsys, text, field):
     p = _write(tmp_path, text)
-    code = main(["map", "--config", str(p), "--output", str(tmp_path / "out")])
+    for command in ("map", "verify"):
+        code = main([command, "--config", str(p), "--output", str(tmp_path / command)])
+        assert code == 2
+        assert re.search(field, capsys.readouterr().err)
+
+
+def test_cli_sweep_refuses_wear_rate_overflow(tmp_path, capsys):
+    p = _write(tmp_path, BASE)
+    code = main(["sweep", "--config", str(p), "--output", str(tmp_path / "out"),
+                 "--axis", "temperature", "--values", "300,0.001"])
     assert code == 2
-    assert re.search(field, capsys.readouterr().err)
+    assert re.search(r"--values: aging\.tddb: alpha\(v_active=3\.0 V, T=0\.001 K\) is inf",
+                     capsys.readouterr().err)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide")
+def test_cli_infinite_aging_still_maps(tmp_path, capsys):
+    # alpha ~ 1e-313 passes the check, but each pulse's duration / alpha is
+    # inf: aging is inf on every mapping, and the front keeps the fastest ones.
+    p = _write(tmp_path, BASE + "aging: {tddb: {gamma: 425.0}}\n")
+    for command in ("map", "verify"):
+        code = main([command, "--config", str(p), "--output", str(tmp_path / command)])
+        assert code == 0
+    capsys.readouterr()
+    summary = json.loads((tmp_path / "map" / "summary.json").read_text(encoding="utf-8"))
+    assert summary["aging"] == "inf" and summary["mttf_seconds"] == 0.0
+    verify = json.loads((tmp_path / "verify" / "verify.json").read_text(encoding="utf-8"))
+    assert verify["optimum_match"] and verify["front_match"]
 
 
 def test_write_json_refuses_nan(tmp_path):

@@ -1,8 +1,12 @@
-"""Tests for the execution-time surrogate. Expected values are hand-computed."""
+"""Tests for the execution-time surrogate. Expected values are hand-computed,
+and the batched execution_times is held to a scalar per-mapping reference."""
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wearmap.model import (
     Cluster,
@@ -13,7 +17,7 @@ from wearmap.model import (
     Mapping,
     MappingConstraintError,
 )
-from wearmap.perf import PerfParams, execution_time
+from wearmap.perf import PerfParams, execution_time, execution_times
 
 
 def _hw(num_tiles=4, tile_capacity=1, mesh=None):
@@ -162,3 +166,76 @@ def test_wide_mesh_hop_distance():
     hw = _hw(num_tiles=4, mesh=(4, 1))
     got = execution_time(snn, Mapping([0, 3]), hw, PerfParams())
     assert math.isclose(got, 1e-6 + 3 * 1e-7, rel_tol=1e-15)
+
+
+# ---------------------------------------------------------------- batched
+
+
+def _reference_execution_time(snn, assignment, hw, p):
+    """The scalar surrogate, one mapping at a time: Python-int arrivals and
+    spike-hops over the edges, then the float operations."""
+    index_of = snn.index_of
+    arrivals = [0] * hw.num_tiles
+    comm_spike_hops = 0
+    for e in snn.edges:
+        si = index_of.get(e.src)
+        di = index_of.get(e.dst)
+        if si is None or di is None:
+            continue
+        src_tile = assignment[si]
+        dst_tile = assignment[di]
+        arrivals[dst_tile] += e.spike_count
+        comm_spike_hops += e.spike_count * hw.manhattan_hops(src_tile, dst_tile)
+    load = max(arrivals) if p.tile_parallelism else sum(arrivals)
+    return load * p.spike_latency + comm_spike_hops * p.hop_latency
+
+
+@st.composite
+def _batches(draw):
+    width, height = draw(st.sampled_from([(1, 1), (2, 2), (3, 1), (1, 4), (3, 2), (4, 4)]))
+    num_tiles = width * height
+    num_clusters = draw(st.integers(1, 6))
+    ids = [f"c{i}" for i in range(num_clusters)]
+    endpoint = st.sampled_from(ids + ["ghost"])  # "ghost" never resolves
+    # small counts, silent edges, and counts whose sums pass int64
+    count = st.one_of(st.integers(0, 50), st.just(0), st.integers(2 ** 61, 2 ** 63))
+    edges = [Edge(src, dst, c) for src, dst, c in draw(st.lists(
+        st.tuples(endpoint, endpoint, count), max_size=10))]
+    snn = ClusteredSnn([Cluster(cid, 4, 8) for cid in ids], edges, 1.0)
+    hw = _hw(num_tiles=num_tiles, tile_capacity=num_clusters, mesh=(width, height))
+    rows = draw(st.lists(st.lists(st.integers(0, num_tiles - 1), min_size=num_clusters,
+                                  max_size=num_clusters), min_size=1, max_size=8))
+    p = PerfParams(
+        spike_latency=draw(st.sampled_from([1e-6, 2.5e-6, 0.0])),
+        hop_latency=draw(st.sampled_from([1e-7, 3e-6, 0.0])),
+        tile_parallelism=draw(st.booleans()),
+    )
+    return snn, hw, np.array(rows, dtype=np.int64), p
+
+
+@settings(max_examples=200, deadline=None)
+@given(_batches())
+def test_execution_times_equal_scalar_reference(batch):
+    snn, hw, rows, p = batch
+    got = execution_times(rows, snn, hw, p)
+    assert got.dtype == np.float64 and got.shape == (rows.shape[0],)
+    assert got.tolist() == [_reference_execution_time(snn, r, hw, p) for r in rows.tolist()]
+    for r, tau in zip(rows.tolist(), got.tolist()):
+        if max(r.count(t) for t in r) <= hw.tile_capacity:
+            assert execution_time(snn, Mapping(r), hw, p) == tau
+
+
+def test_execution_times_object_fallback_is_exact():
+    # 2^62 spikes over 6 hops pass int64: the sums switch to Python ints
+    snn = _snn([("c0", "c1", 2 ** 62), ("c1", "c0", 2 ** 62 + 1)])
+    hw = _hw(num_tiles=16, mesh=(4, 4))
+    rows = np.array([[0, 15], [15, 0], [5, 6]])
+    p = PerfParams()
+    want = [_reference_execution_time(snn, r, hw, p) for r in rows.tolist()]
+    assert execution_times(rows, snn, hw, p).tolist() == want
+
+
+def test_execution_times_empty_batch():
+    snn = _snn([("c0", "c1", 3)])
+    out = execution_times(np.zeros((0, 2), dtype=np.int64), snn, _hw(), PerfParams())
+    assert out.shape == (0,)

@@ -4,13 +4,18 @@ Brute-force references are computed inline over tiny search spaces so they do
 not depend on the optimizer itself.
 """
 
+import hashlib
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wearmap.aging import AgingParams, NbtiParams, TddbParams, evaluate_hardware_aging
+from wearmap.config import load_run_config, parse_run_config
 from wearmap.model import (
     Cluster,
     ClusteredSnn,
@@ -38,6 +43,7 @@ from wearmap.swarm import (
     initialize_swarm,
     optimize,
     repair,
+    repair_rows,
     select_final,
     step_swarm,
 )
@@ -140,6 +146,19 @@ def test_fitness_memoized():
     first = ctx.evaluate(m)
     again = ctx.evaluate(Mapping([0, 1, 2]))
     assert first is again  # cache returns the stored tuple
+
+
+def test_evaluate_rows_matches_evaluate_and_shares_memo():
+    ctx = _ctx(num_clusters=3, num_tiles=3, tile_capacity=2)
+    ref = _ctx(num_clusters=3, num_tiles=3, tile_capacity=2)
+    rows = np.array([[0, 1, 2], [1, 1, 0], [0, 1, 2], [2, 0, 0]])
+    got = ctx.evaluate_rows(rows)
+    assert got == [ref.evaluate(Mapping(r)) for r in rows.tolist()]
+    assert got[0] is got[2]  # a repeated row reads the entry the batch just wrote
+    assert ctx.evaluate(Mapping([1, 1, 0])) is got[1]
+    again = ctx.evaluate_rows(rows[1:2])
+    assert again[0] is got[1]
+    assert ctx.evaluate_rows(np.zeros((0, 3), dtype=np.int64)) == []
 
 
 def test_fitness_invalid_mapping_raises():
@@ -273,6 +292,88 @@ def test_repair_rejects_bad_shape():
     hw = _hw(num_tiles=2, tile_capacity=1)
     with pytest.raises(ValueError):
         repair(np.zeros((2, 3), dtype=int), hw, np.random.default_rng(0))
+
+
+def _reference_repair(binary, hw, pref):
+    """The per-matrix repair: each row fixed in turn, then one linear scan of
+    every tile for each eviction."""
+    b = np.asarray(binary)
+    num_clusters, num_tiles = b.shape
+    assignment = np.empty(num_clusters, dtype=np.int64)
+    for i in range(num_clusters):
+        ones = np.flatnonzero(b[i])
+        if ones.size == 1:
+            assignment[i] = ones[0]
+        else:
+            assignment[i] = int(np.argmax(pref[i]))
+    loads = np.bincount(assignment, minlength=num_tiles)
+    for tile in range(num_tiles):
+        while loads[tile] > hw.tile_capacity:
+            mover = int(np.flatnonzero(assignment == tile)[-1])
+            dest = min(
+                (t for t in range(num_tiles) if loads[t] < hw.tile_capacity),
+                key=lambda t: (hw.manhattan_hops(tile, t), t),
+            )
+            assignment[mover] = dest
+            loads[tile] -= 1
+            loads[dest] += 1
+    return tuple(assignment.tolist())
+
+
+_REPAIR_MESHES = [(1, 1), (2, 2), (3, 3), (4, 4), (2, 3), (4, 2), (5, 3), (1, 2), (1, 6),
+                  (7, 1)]
+
+
+@st.composite
+def _repair_batches(draw):
+    width, height = draw(st.sampled_from(_REPAIR_MESHES))
+    num_tiles = width * height
+    cap = draw(st.integers(1, 3))
+    hw = _hw(num_tiles=num_tiles, tile_capacity=cap, mesh=(width, height))
+    num_clusters = draw(st.integers(1, num_tiles * cap))
+    n = draw(st.integers(1, 8))
+    # Rows aimed at a few hot tiles overload them, so evictions chain outwards
+    # over tiles that earlier evictions filled.
+    hot = draw(st.lists(st.integers(0, num_tiles - 1), min_size=1, max_size=3))
+    hot_share = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    cells = draw(st.sampled_from([(0, 1), (0, 0, 0, 1), (0, 1, 2, -1)]))
+    levels = draw(st.sampled_from([(0.0,), (0.0, 0.5), (0.0, 0.25, 0.5, 1.0)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    bits = rng.choice(cells, size=(n, num_clusters, num_tiles))
+    pref = rng.choice(levels, size=(n, num_clusters, num_tiles))  # ties are common
+    aimed = rng.random((n, num_clusters)) < hot_share
+    tiles = rng.choice(hot, size=(n, num_clusters))
+    bits[aimed] = 0
+    bits[aimed, tiles[aimed]] = rng.choice([1, 2, -1], size=int(aimed.sum()))
+    pref[~aimed, tiles[~aimed]] = max(levels)  # non-one-hot rows favour hot tiles too
+    return hw, bits, pref
+
+
+@settings(max_examples=300, deadline=None)
+@given(_repair_batches())
+def test_repair_rows_equals_per_matrix_reference(batch):
+    hw, bits, pref = batch
+    num_clusters = bits.shape[1]
+    rows = repair_rows(bits, pref, hw)
+    assert rows.dtype == np.int64 and rows.shape == bits.shape[:2]
+    for i, row in enumerate(rows.tolist()):
+        assert tuple(row) == _reference_repair(bits[i], hw, pref[i])
+        assert repair(bits[i], hw, np.random.default_rng(0), pref=pref[i]).assignment \
+            == tuple(row)
+        assert mapping_violations(Mapping(row), _snn_of(num_clusters), hw) == []
+
+
+def test_repair_large_mesh_without_tile_table():
+    # 90,000 tiles: a dense tile-by-tile order would need 65 GB.
+    hw = _hw(num_tiles=90_000, tile_capacity=1, mesh=(300, 300))
+    binary = np.zeros((2, 90_000), dtype=np.int8)
+    binary[:, 0] = 1
+    assert repair(binary, hw, np.random.default_rng(0)).assignment == (0, 1)
+    wl = generate_poisson_workload(WorkloadShape(num_clusters=2), 20.0, 1.0, 0)
+    ctx = EvalContext(wl, hw, AgingParams(), PerfParams())
+    res = optimize(wl.snn, hw, PsoConfig(n_particles=2, max_iterations=1, seed=0), ctx)
+    assert res.total_evaluations == 4
+    assert mapping_violations(res.mapping, wl.snn, hw) == []
 
 
 # ---------------------------------------------------------------- stepping
@@ -412,6 +513,35 @@ def test_optimize_rejects_mismatched_context():
         optimize(other.workload.snn, other.hw, PsoConfig(n_particles=4, max_iterations=2, seed=0), ctx)
 
 
+_MESH_24 = """\
+hardware: {num_tiles: 25, mesh: [5, 5], crossbar_dim: 64, tile_capacity: 1,
+           temperature: 300.0, device: {kind: diode_1D1R}}
+pso: {n_particles: 24, max_iterations: 12, seed: 5}
+workload:
+  poisson: {num_clusters: 24, neurons_per_cluster: 16, synapses_per_cluster: 48,
+            kind: random, edge_prob: 0.125, rate: 60.0, window: 1.0, seed: 11}
+"""
+
+
+def _archive_digest(cfg):
+    ctx = EvalContext(cfg.workload, cfg.hardware, cfg.aging, cfg.perf)
+    res = optimize(cfg.workload.snn, cfg.hardware, cfg.pso, ctx)
+    h = hashlib.sha256()
+    for e in res.archive:
+        h.update(repr((e.assignment, e.tau.hex(), e.aging.hex())).encode("ascii"))
+    return h.hexdigest()
+
+
+def test_optimize_archive_golden():
+    # Pinned before the swarm step was batched: every archived mapping, in
+    # archive order, with its exact tau and aging bits.
+    baseline = Path(__file__).resolve().parents[1] / "configs" / "baseline.yaml"
+    assert _archive_digest(load_run_config(str(baseline))) == \
+        "1e2f3b59d2a3a68f345ffb2147769198ea25d9e3b88dfd33da888976a0195619"
+    assert _archive_digest(parse_run_config(_MESH_24)) == \
+        "d4e72e80f4c1c1f926b8cd23a8695efdba12806b8d58c9bcb2f1fd7c60330a1e"
+
+
 # ---------------------------------------------------------------- pareto
 
 
@@ -431,6 +561,16 @@ def test_extract_pareto_rejects_nan(tau, aging):
     entries = [_entry([0], 1.0, 2.0), _entry([1], tau, aging)]
     with pytest.raises(ValueError, match="NaN"):
         extract_pareto(entries)
+
+
+def test_extract_pareto_keeps_fastest_group_at_infinite_aging():
+    # Nothing dominates the fastest points, even when every aging is inf.
+    entries = [_entry([1], 2.0, math.inf), _entry([0], 1.0, math.inf),
+               _entry([2], 1.0, math.inf)]
+    front = extract_pareto(entries)
+    assert [(p.mapping.assignment, p.tau) for p in front.points] == [((0,), 1.0), ((2,), 1.0)]
+    front = extract_pareto([_entry([0], 1.0, math.inf), _entry([1], 2.0, 3.0)])
+    assert [p.aging for p in front.points] == [math.inf, 3.0]
 
 
 def test_extract_pareto_single_point():
