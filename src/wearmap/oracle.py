@@ -1,11 +1,10 @@
 """Exhaustive ground truth for small mapping instances.
 
 Every feasible assignment is held as one row of an (N, C) integer array, in
-lexicographic order, and tau, aging and lambda are computed for all rows at
-once: tau through perf.execution_times, the path the swarm uses too, and
-aging by looking each distinct hosted cluster set up once in the context's
-per-set cache and taking each row's worst tile. The values are bit-identical to
-EvalContext.evaluate on each mapping.
+lexicographic order, and tau, aging and lambda are computed for blocks of
+rows at once through the swarm's own evaluator: perf.execution_times for tau,
+EvalContext.worst_tile_agings for aging and swarm.lambdas for lambda. The
+values are therefore bit-identical to EvalContext.evaluate on each mapping.
 
 Everything here is deliberately independent of the swarm's search: the
 optimum is the first argmin over the full table, and the Pareto filter is the
@@ -24,7 +23,7 @@ import numpy as np
 
 from .model import ClusteredSnn, HardwareConfig, Mapping
 from .perf import execution_times
-from .swarm import EvalContext, Evaluation, FrontPoint, InfeasibleError, ParetoFront
+from .swarm import EvalContext, Evaluation, FrontPoint, InfeasibleError, ParetoFront, lambdas
 
 ENUMERATION_GUARD = 10 ** 6
 # Cells per block of the (tile, mapping) arrays and of the dominance filter's
@@ -95,34 +94,6 @@ def enumerate_mappings(snn: ClusteredSnn, hw: HardwareConfig) -> Iterator[Mappin
     return (Mapping(r) for r in rows.tolist())
 
 
-def _hosted_set_codes(cols: np.ndarray, num_tiles: int) -> np.ndarray:
-    """One integer per (tile, mapping) of the (C, n) block cols, tile-major:
-    the bitmask of the clusters the tile hosts, equal iff the sets are. Past
-    62 clusters the bitmasks are Python ints, which never overflow."""
-    dtype = np.int64 if cols.shape[0] < 63 else object
-    codes = np.zeros((num_tiles, cols.shape[1]), dtype=dtype)
-    tiles = np.arange(num_tiles)[:, None]
-    for col in cols:
-        codes = codes * 2 + (col == tiles).astype(dtype)
-    return codes.ravel()
-
-
-def _tile_agings(cols: np.ndarray, ctx: EvalContext) -> np.ndarray:
-    """Worst-tile aging of every mapping in the (C, n) block cols. Each
-    distinct hosted set is looked up once in ctx's per-set cache; empty tiles
-    count as 0.0, the start of evaluate's running max."""
-    n = cols.shape[1]
-    codes = _hosted_set_codes(cols, ctx.hw.num_tiles)
-    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    values = np.zeros(first.size)
-    for k, cell in enumerate(first.tolist()):
-        tile, row = divmod(cell, n)
-        members = frozenset(np.flatnonzero(cols[:, row] == tile).tolist())
-        if members:
-            values[k] = ctx.tile_aging(members)
-    return values[inverse].reshape(-1, n).max(axis=0)
-
-
 def _objective_table(
     snn: ClusteredSnn, hw: HardwareConfig, ctx: EvalContext
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -130,11 +101,11 @@ def _objective_table(
     refused, as extract_pareto refuses them: they have no order."""
     rows = _assignment_table(snn, hw)
     step = max(1, _BLOCK_CELLS // ctx.hw.num_tiles)
-    blocks = [rows[i:i + step].T.copy() for i in range(0, rows.shape[0], step)]
+    blocks = [rows[i:i + step] for i in range(0, rows.shape[0], step)]
     tau = np.concatenate([
-        execution_times(b.T, ctx.workload.snn, ctx.hw, ctx.perf_params) for b in blocks
+        execution_times(b, ctx.workload.snn, ctx.hw, ctx.perf_params) for b in blocks
     ])
-    aging = np.concatenate([_tile_agings(b, ctx) for b in blocks])
+    aging = np.concatenate([ctx.worst_tile_agings(b) for b in blocks])
     if np.isnan(tau).any() or np.isnan(aging).any():
         raise ValueError("an objective evaluates to NaN")
     return rows, tau, aging
@@ -151,7 +122,7 @@ def brute_force_optimum(
 ) -> BruteForceOptimum:
     """Exact argmin of lambda over the feasible set; lexicographic first on ties."""
     rows, tau, aging = _objective_table(snn, hw, ctx)
-    best = Mapping(rows[int(np.argmin(tau * aging))].tolist())
+    best = Mapping(rows[int(np.argmin(lambdas(tau, aging)))].tolist())
     return BruteForceOptimum(mapping=best, evaluation=ctx.evaluate(best))
 
 

@@ -5,15 +5,18 @@ cluster and at most tile_capacity clusters per tile. Particles carry real
 positions and velocities of dimension |C|*|T|; each step moves toward personal
 and global bests, stochastically binarizes through a sigmoid of the velocity,
 and repairs the resulting matrix back into the feasible set. The scalar being
-minimized is the product fitness lambda = tau * aging (or tau alone when the
-context selects the time-only objective). Every feasible evaluation lands in
-an archive from which the (tau, aging) Pareto front is extracted afterwards.
+minimized is lambda = tau * aging, taken as 0 when tau is 0 (or tau alone
+when the context selects the time-only objective). Every feasible evaluation
+lands in an archive, the only store of evaluations, from which the
+(tau, aging) Pareto front is extracted afterwards.
 
 A step works on the whole swarm at once: one binarize over the (n_p, C, T)
 velocity, one repair_rows over all particles, and one
-EvalContext.evaluate_rows, whose tau comes from perf.execution_times, the
-path the exhaustive oracle uses as well. Python loops over particles only for
-the overloaded rows repair has to move and for the archive and best updates.
+EvalContext.evaluate_rows. Its tau comes from perf.execution_times and its
+aging from EvalContext.worst_tile_agings, the one worst-tile aging path;
+the exhaustive oracle calls both on its row blocks, and evaluate is their
+validated one-mapping case. Python loops over particles only for the
+overloaded rows repair has to move and for the archive and best updates.
 
 All randomness flows from one seeded generator, and best-updates reduce in
 particle-index order, so a run is a pure function of (instance, config).
@@ -42,13 +45,21 @@ class Evaluation(NamedTuple):
     lam: float
 
 
-class EvalContext:
-    """Shared evaluation state: instance, parameters, and memo caches.
+def lambdas(tau: np.ndarray, aging: np.ndarray) -> np.ndarray:
+    """lambda = tau * aging elementwise, and 0.0 wherever tau is 0: a mapping
+    that takes no time scores 0 even when its aging is inf (0 * inf is NaN)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(tau == 0.0, 0.0, tau * aging)
 
-    Fitness is memoized per assignment. Tile aging (the combined aging of the
-    tile's mechanisms) is memoized per hosted cluster set, since a tile's
-    stress trace depends only on who sits on it (plus their predecessors), not
-    on which tile it is.
+
+class EvalContext:
+    """Shared evaluation state: the instance, its parameters, and the per-set
+    tile aging cache.
+
+    Tile aging (the combined aging of the tile's mechanisms) is cached per
+    hosted cluster set, since a tile's stress trace depends only on who sits
+    on it (plus their predecessors), not on which tile it is. Evaluations
+    themselves are not stored: the swarm's archive is the only store.
 
     objective picks the scalar the swarm minimizes: "lambda" (tau * aging) or
     "tau" (time only). The full Evaluation is always available either way.
@@ -69,7 +80,6 @@ class EvalContext:
         self.aging_params = aging_params
         self.perf_params = perf_params
         self.objective = objective
-        self._fitness_cache: dict[tuple[int, ...], Evaluation] = {}
         self._tile_cache: dict[frozenset[int], float] = {}
 
     def tile_aging(self, members: frozenset[int]) -> float:
@@ -84,57 +94,60 @@ class EvalContext:
             self._tile_cache[members] = a
         return a
 
-    def _worst_tile_aging(self, assignment: tuple[int, ...]) -> float:
-        hosted: dict[int, set[int]] = {}
-        for ci, tile in enumerate(assignment):
-            hosted.setdefault(tile, set()).add(ci)
-        aging = 0.0
-        for members in hosted.values():
-            a = self.tile_aging(frozenset(members))
-            if a > aging:
-                aging = a
-        return aging
+    def worst_tile_agings(self, rows: np.ndarray) -> np.ndarray:
+        """Aging of every row of an (n, C) array of tile indices (not validated
+        here): the largest tile_aging over its tiles, an empty tile counting as
+        0.0. Each (tile, row) cell's hosted set is a C-bit mask in ceil(C / 64)
+        uint64 words, so every cluster count takes this one path; each distinct
+        set is looked up once."""
+        rows = np.asarray(rows, dtype=np.int64)
+        n, num_clusters = rows.shape
+        cluster = np.arange(num_clusters)
+        # Little-endian words, so that the bytes of word w hold clusters 64w on.
+        masks = np.zeros((self.hw.num_tiles, n, -(-num_clusters // 64)), dtype="<u8")
+        # A cell's bits are disjoint, so adding them is the same as OR-ing them.
+        np.add.at(masks, (rows, np.arange(n)[:, None], cluster // 64),
+                  np.uint64(1) << (cluster % 64).astype(np.uint64))
+        masks = masks.reshape(-1, masks.shape[2])
+        # Rank the cells one word at a time; a rank stays below the cell count,
+        # so the combined key cannot overflow.
+        distinct, rank = np.unique(masks[:, 0], return_inverse=True)
+        for column in masks.T[1:]:
+            values, inverse = np.unique(column, return_inverse=True)
+            distinct, rank = np.unique(rank * values.size + inverse, return_inverse=True)
+        cell = np.empty(distinct.size, dtype=np.int64)
+        cell[rank] = np.arange(rank.size)  # any one cell holding each distinct set
+        bits = np.unpackbits(masks[cell].view(np.uint8), axis=1, count=num_clusters,
+                             bitorder="little")
+        set_index, member = np.divmod(np.flatnonzero(bits), num_clusters)
+        bounds = np.searchsorted(set_index, np.arange(distinct.size + 1)).tolist()
+        member = member.tolist()
+        agings = np.array([self.tile_aging(frozenset(member[lo:hi])) if hi > lo else 0.0
+                           for lo, hi in zip(bounds[:-1], bounds[1:])])
+        return agings[rank].reshape(self.hw.num_tiles, n).max(axis=0)
+
+    def _evaluations(self, rows: np.ndarray, tau: np.ndarray) -> list[Evaluation]:
+        aging = self.worst_tile_agings(rows)
+        return list(map(Evaluation._make, zip(
+            tau.tolist(), aging.tolist(), lambdas(tau, aging).tolist())))
 
     def evaluate(self, mapping: Mapping) -> Evaluation:
-        key = mapping.assignment
-        hit = self._fitness_cache.get(key)
-        if hit is not None:
-            return hit
+        """Evaluation of one mapping, validated against the instance first;
+        the n = 1 case of evaluate_rows."""
         tau = execution_time(self.workload.snn, mapping, self.hw, self.perf_params)
-        aging = self._worst_tile_aging(key)
-        ev = Evaluation(tau=tau, aging=aging, lam=tau * aging)
-        self._fitness_cache[key] = ev
-        return ev
+        return self._evaluations(np.asarray([mapping.assignment]), np.array([tau]))[0]
 
     def evaluate_rows(self, rows: np.ndarray) -> list[Evaluation]:
         """evaluate for every row of an (n, C) array of feasible assignments,
-        such as repair_rows returns; the rows are not validated again. Tau of
-        the rows missing from the memo comes from one execution_times call;
-        memo hits return the stored tuple, as evaluate does."""
-        rows = np.asarray(rows)
-        keys = list(map(tuple, rows.tolist()))
-        out = [self._fitness_cache.get(key) for key in keys]
-        todo = [i for i, ev in enumerate(out) if ev is None]
-        if todo:
-            taus = execution_times(rows[todo], self.workload.snn, self.hw,
-                                   self.perf_params).tolist()
-            for i, tau in zip(todo, taus):
-                key = keys[i]
-                ev = self._fitness_cache.get(key)  # the same row earlier in the batch
-                if ev is None:
-                    aging = self._worst_tile_aging(key)
-                    ev = Evaluation(tau=tau, aging=aging, lam=tau * aging)
-                    self._fitness_cache[key] = ev
-                out[i] = ev
-        return out
+        such as repair_rows returns; the rows are not validated again. Tau
+        comes from one execution_times call and aging from one
+        worst_tile_agings call."""
+        rows = np.asarray(rows, dtype=np.int64)
+        tau = execution_times(rows, self.workload.snn, self.hw, self.perf_params)
+        return self._evaluations(rows, tau)
 
     def objective_value(self, ev: Evaluation) -> float:
         return ev.lam if self.objective == "lambda" else ev.tau
-
-
-def fitness(mapping: Mapping, ctx: EvalContext) -> Evaluation:
-    """Joint fitness of a mapping: lambda = tau * aging, memoized in ctx."""
-    return ctx.evaluate(mapping)
 
 
 @dataclass(frozen=True)
@@ -185,12 +198,8 @@ class SwarmState:
     velocities: np.ndarray  # (n_p, D) real
     p_best_pos: np.ndarray  # (n_p, D) binary corners of repaired bests
     p_best_fit: np.ndarray  # (n_p,)
-    p_best_map: list[Mapping]
-    p_best_eval: list[Evaluation]
-    g_best_pos: np.ndarray  # (D,)
+    g_best_pos: np.ndarray  # (D,) binary corner of the global best
     g_best_fit: float
-    g_best_map: Mapping
-    g_best_eval: Evaluation
     iteration: int
     rng: np.random.Generator
     archive: dict[tuple[int, ...], ArchiveEntry] = field(default_factory=dict)
@@ -354,12 +363,10 @@ def initialize_swarm(cfg: PsoConfig, ctx: EvalContext) -> SwarmState:
 
     positions = np.empty((n_p, num_clusters * num_tiles))
     p_best_fit = np.empty(n_p)
-    p_best_map: list[Mapping] = []
     archive: dict[tuple[int, ...], ArchiveEntry] = {}
     for i, (assignment, ev) in enumerate(zip(map(tuple, rows.tolist()), evals)):
         positions[i] = _corner(assignment, num_tiles)
         p_best_fit[i] = ctx.objective_value(ev)
-        p_best_map.append(Mapping(assignment))
         _archive_insert(archive, assignment, ev, 0)
 
     best = int(np.argmin(p_best_fit))
@@ -368,12 +375,8 @@ def initialize_swarm(cfg: PsoConfig, ctx: EvalContext) -> SwarmState:
         velocities=np.zeros_like(positions),
         p_best_pos=positions.copy(),
         p_best_fit=p_best_fit,
-        p_best_map=p_best_map,
-        p_best_eval=evals,
         g_best_pos=positions[best].copy(),
         g_best_fit=float(p_best_fit[best]),
-        g_best_map=p_best_map[best],
-        g_best_eval=evals[best],
         iteration=0,
         rng=rng,
         archive=archive,
@@ -418,15 +421,11 @@ def step_swarm(state: SwarmState, cfg: PsoConfig, ctx: EvalContext) -> SwarmStat
         if scalar < state.p_best_fit[i]:
             state.p_best_fit[i] = scalar
             state.p_best_pos[i] = _corner(assignment, num_tiles)
-            state.p_best_map[i] = Mapping(assignment)
-            state.p_best_eval[i] = ev
 
     best = int(np.argmin(state.p_best_fit))
     if state.p_best_fit[best] < state.g_best_fit:
         state.g_best_fit = float(state.p_best_fit[best])
         state.g_best_pos = state.p_best_pos[best].copy()
-        state.g_best_map = state.p_best_map[best]
-        state.g_best_eval = state.p_best_eval[best]
     return state
 
 
@@ -536,9 +535,10 @@ def optimize(
     for _ in range(iters):
         step_swarm(state, resolved, ctx)
     front = extract_pareto(state.archive.values())
+    best = Mapping(state.g_best_pos.reshape(num_clusters, -1).argmax(axis=1).tolist())
     return OptimizeResult(
-        mapping=state.g_best_map,
-        evaluation=state.g_best_eval,
+        mapping=best,
+        evaluation=ctx.evaluate(best),
         front=front,
         archive=tuple(state.archive.values()),
         iterations=iters,

@@ -378,15 +378,24 @@ def test_cli_sweep_refuses_wear_rate_overflow(tmp_path, capsys):
 def test_cli_infinite_aging_still_maps(tmp_path, capsys):
     # alpha ~ 1e-313 passes the check, but each pulse's duration / alpha is
     # inf: aging is inf on every mapping, and the front keeps the fastest ones.
-    p = _write(tmp_path, BASE + "aging: {tddb: {gamma: 425.0}}\n")
-    for command in ("map", "verify"):
-        code = main([command, "--config", str(p), "--output", str(tmp_path / command)])
-        assert code == 0
-    capsys.readouterr()
-    summary = json.loads((tmp_path / "map" / "summary.json").read_text(encoding="utf-8"))
-    assert summary["aging"] == "inf" and summary["mttf_seconds"] == 0.0
-    verify = json.loads((tmp_path / "verify" / "verify.json").read_text(encoding="utf-8"))
-    assert verify["optimum_match"] and verify["front_match"]
+    # With both latencies at 0, tau is 0 as well, and lambda is 0, not 0 * inf.
+    gamma = "aging: {tddb: {gamma: 425.0}}\n"
+    cases = (("timed", gamma, "inf"),
+             ("instant", gamma + "perf: {spike_latency: 0.0, hop_latency: 0.0}\n", 0.0))
+    for name, extra, lam in cases:
+        p = _write(tmp_path, BASE + extra, name=f"{name}.yaml")
+        for command in ("map", "verify", "compare"):
+            out = tmp_path / name / command
+            assert main([command, "--config", str(p), "--output", str(out)]) == 0
+        capsys.readouterr()
+        summary = json.loads((tmp_path / name / "map" / "summary.json").read_text(
+            encoding="utf-8"))
+        assert summary["aging"] == "inf" and summary["mttf_seconds"] == 0.0
+        assert summary["lambda"] == lam and summary["g_best"]["lambda"] == lam
+        verify = json.loads((tmp_path / name / "verify" / "verify.json").read_text(
+            encoding="utf-8"))
+        assert verify["optimum_match"] and verify["front_match"]
+        assert verify["pso"]["lambda"] == lam and verify["oracle"]["lambda"] == lam
 
 
 def test_write_json_refuses_nan(tmp_path):

@@ -28,7 +28,6 @@ from wearmap.model import (
 from wearmap.oracle import (
     ENUMERATION_GUARD,
     GuardExceededError,
-    _hosted_set_codes,
     _objective_table,
     brute_force_optimum,
     brute_force_pareto,
@@ -389,11 +388,21 @@ def test_many_clusters_on_one_tile():
     assert count_feasible_mappings(70, 1, 70) == 1
     _assert_matches_reference(workload, hw)
 
-    # int64 bitmasks would wrap: {c0} on tile 1 would read as the empty set
+    # 70 clusters take two mask words: {c0} on tile 1 must not read as the empty set
+    ctx = EvalContext(workload, _hw(2, tile_capacity=70), AgingParams(), PerfParams())
+    looked_up = []
+    real = ctx.tile_aging
+
+    def recording(members):
+        looked_up.append(members)
+        return real(members)
+
+    ctx.tile_aging = recording
     rows = np.array([[1] + [0] * 69, [0] * 70])
-    codes = _hosted_set_codes(rows.T.copy(), 2).tolist()  # tile-major cells
-    assert codes[2] == 2 ** 69 and codes[3] == 0
-    assert len(set(codes)) == 4
+    got = ctx.worst_tile_agings(rows).tolist()
+    rest, everything = frozenset(range(1, 70)), frozenset(range(70))
+    assert sorted(looked_up, key=len) == [frozenset({0}), rest, everything]
+    assert got == [max(real(frozenset({0})), real(rest)), real(everything)]
 
 
 def test_tau_past_int64_stays_exact():

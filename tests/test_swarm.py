@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wearmap.aging import AgingParams, NbtiParams, TddbParams, evaluate_hardware_aging
@@ -39,7 +39,6 @@ from wearmap.swarm import (
     PsoConfig,
     binarize,
     extract_pareto,
-    fitness,
     initialize_swarm,
     optimize,
     repair,
@@ -102,13 +101,13 @@ def test_pso_config_validation():
                 PsoConfig(**{field: value})
 
 
-# ---------------------------------------------------------------- fitness
+# ---------------------------------------------------------------- evaluation
 
 
 def test_fitness_composes_module_oracles():
     ctx = _ctx(num_clusters=2, num_tiles=2)
     m = Mapping([0, 1])
-    ev = fitness(m, ctx)
+    ev = ctx.evaluate(m)
     tau = execution_time(ctx.workload.snn, m, ctx.hw, ctx.perf_params)
     aging = evaluate_hardware_aging(ctx.workload, m, ctx.hw, ctx.aging_params).hardware
     assert ev.tau == tau
@@ -122,7 +121,7 @@ def test_fitness_zero_spikes_zero_lambda():
     )
     wl = Workload(snn=snn, trains={"a": SpikeTrain([]), "b": SpikeTrain([])})
     ctx = EvalContext(wl, _hw(num_tiles=2), AgingParams(), PerfParams())
-    ev = fitness(Mapping([0, 1]), ctx)
+    ev = ctx.evaluate(Mapping([0, 1]))
     assert ev.aging == 0.0
     assert ev.lam == 0.0
 
@@ -133,38 +132,100 @@ def test_fitness_halved_aging_halves_lambda():
     doubled = AgingParams(tddb=TddbParams(a=2e7), nbti=NbtiParams(g0=0.0))
     wl = generate_poisson_workload(WorkloadShape(2, kind="chain"), 40.0, 1.0, 3)
     hw = _hw(num_tiles=2)
-    ev1 = fitness(Mapping([0, 1]), EvalContext(wl, hw, base, PerfParams()))
-    ev2 = fitness(Mapping([0, 1]), EvalContext(wl, hw, doubled, PerfParams()))
+    ev1 = EvalContext(wl, hw, base, PerfParams()).evaluate(Mapping([0, 1]))
+    ev2 = EvalContext(wl, hw, doubled, PerfParams()).evaluate(Mapping([0, 1]))
     assert ev1.tau == ev2.tau
     assert math.isclose(ev2.aging, ev1.aging / 2.0, rel_tol=1e-12)
     assert math.isclose(ev2.lam, ev1.lam / 2.0, rel_tol=1e-12)
 
 
-def test_fitness_memoized():
+def test_evaluate_is_repeatable():
     ctx = _ctx()
-    m = Mapping([0, 1, 2])
-    first = ctx.evaluate(m)
+    first = ctx.evaluate(Mapping([0, 1, 2]))
     again = ctx.evaluate(Mapping([0, 1, 2]))
-    assert first is again  # cache returns the stored tuple
+    assert first == again  # nothing is stored per mapping; the value is the same
 
 
-def test_evaluate_rows_matches_evaluate_and_shares_memo():
+def test_evaluate_rows_matches_evaluate():
     ctx = _ctx(num_clusters=3, num_tiles=3, tile_capacity=2)
     ref = _ctx(num_clusters=3, num_tiles=3, tile_capacity=2)
     rows = np.array([[0, 1, 2], [1, 1, 0], [0, 1, 2], [2, 0, 0]])
     got = ctx.evaluate_rows(rows)
     assert got == [ref.evaluate(Mapping(r)) for r in rows.tolist()]
-    assert got[0] is got[2]  # a repeated row reads the entry the batch just wrote
-    assert ctx.evaluate(Mapping([1, 1, 0])) is got[1]
-    again = ctx.evaluate_rows(rows[1:2])
-    assert again[0] is got[1]
+    assert got[0] == got[2]  # a row repeated in one batch
+    assert ctx.evaluate(Mapping([1, 1, 0])) == got[1]
+    assert ctx.evaluate_rows(rows[1:2]) == [got[1]]
     assert ctx.evaluate_rows(np.zeros((0, 3), dtype=np.int64)) == []
+
+
+def _reference_worst_tile_aging(ctx, assignment):
+    """The per-row dict-of-sets body that worst_tile_agings replaced."""
+    hosted = {}
+    for ci, tile in enumerate(assignment):
+        hosted.setdefault(tile, set()).add(ci)
+    aging = 0.0
+    for members in hosted.values():
+        a = ctx.tile_aging(frozenset(members))
+        if a > aging:
+            aging = a
+    return aging
+
+
+@st.composite
+def _assignment_batches(draw):
+    num_clusters = draw(st.one_of(st.sampled_from([1, 2, 63, 64, 65, 128, 129, 130]),
+                                  st.integers(1, 130)))
+    num_tiles = draw(st.one_of(st.integers(1, 8), st.integers(1, 140)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["spread", "one_tile", "few_tiles", "high_apart"]))
+        if kind == "one_tile":  # every cluster on one tile, the others empty
+            row = np.full(num_clusters, rng.integers(num_tiles))
+        elif kind == "few_tiles":
+            row = rng.choice(rng.integers(num_tiles, size=2), size=num_clusters)
+        else:
+            row = rng.integers(num_tiles, size=num_clusters)
+            if kind == "high_apart":  # sets that differ only past the first word
+                row[:64] = rng.integers(num_tiles)
+        rows.append(row)
+    rows = np.array(rows, dtype=np.int64).reshape(-1, num_clusters)
+    return num_clusters, num_tiles, rows, rng.permutation(num_tiles)
+
+
+# One row per cluster next to a word boundary, alone on tile 1.
+_BOUNDARY = [0, 1, 62, 63, 64, 65, 127, 128, 129]
+_ALONE_ROWS = np.zeros((len(_BOUNDARY), 130), dtype=np.int64)
+_ALONE_ROWS[np.arange(len(_BOUNDARY)), _BOUNDARY] = 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(_assignment_batches())
+@example((130, 2, _ALONE_ROWS, np.array([1, 0])))
+def test_worst_tile_agings_equals_dict_of_sets_reference(batch):
+    num_clusters, num_tiles, rows, perm = batch
+    wl = generate_poisson_workload(
+        WorkloadShape(num_clusters=num_clusters, kind="chain"), 5.0, 1.0, 0)
+    ctx = EvalContext(wl, _hw(num_tiles=num_tiles, tile_capacity=num_clusters),
+                      AgingParams(), PerfParams())
+    for fake in (False, True):
+        if fake:
+            # A distinct value per set, largest for a lone cluster, so that a
+            # set read for another one changes the result; an empty tile
+            # looked up raises.
+            ctx.tile_aging = lambda members: 1.0 / (
+                len(members) + math.fsum(math.sin(c + 1.0) for c in members) ** 2 / 1e3)
+        got = ctx.worst_tile_agings(rows)
+        assert got.shape == (rows.shape[0],) and got.dtype == np.float64
+        assert got.tolist() == [_reference_worst_tile_aging(ctx, r) for r in rows.tolist()]
+        # aging depends on the partition only, not on which tile hosts which set
+        assert ctx.worst_tile_agings(perm[rows]).tolist() == got.tolist()
 
 
 def test_fitness_invalid_mapping_raises():
     ctx = _ctx(num_clusters=3, num_tiles=3, tile_capacity=1)
     with pytest.raises(MappingConstraintError):
-        fitness(Mapping([0, 0, 1]), ctx)
+        ctx.evaluate(Mapping([0, 0, 1]))
 
 
 def test_context_rejects_unknown_objective():
