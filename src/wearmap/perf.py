@@ -9,7 +9,11 @@ shortest (manhattan) route, summed over edges since the mesh is shared.
 
 execution_times evaluates a whole (n, C) array of assignments at once; the
 swarm and the exhaustive oracle both call it, and execution_time is its
-validated one-mapping case.
+validated one-mapping case. It has no loop over edges: the edges' spike counts
+are summed per receiving cluster once, and one np.add.at puts those totals
+onto the tiles; the spike-hops of all edges are one integer matrix product of
+the per-row hop counts with the edge counts. Rows go through in chunks of
+bounded size, so the working set stays small however many rows come in.
 """
 
 from __future__ import annotations
@@ -20,6 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ClusteredSnn, HardwareConfig, Mapping, require_valid_mapping
+
+# Rows are evaluated in chunks of at most this many (edge, tile or cluster) x
+# row cells, so a large block such as the oracle's never holds an (n, E) array.
+_CHUNK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -45,7 +53,7 @@ def execution_times(
     come last, once per row. Edges with unresolvable endpoints contribute
     nothing (validate_snn reports them).
     """
-    cols = np.ascontiguousarray(np.asarray(rows).T)  # (C, n): one row per cluster
+    rows = np.asarray(rows)
     index_of = snn.index_of
     edges = [
         (index_of[e.src], index_of[e.dst], e.spike_count)
@@ -56,18 +64,27 @@ def execution_times(
     # Python ints never overflow; fall back to them where int64 could.
     bound = sum(c for _, _, c in edges) * max(1, width + height - 2)
     dtype = np.int64 if bound < 2 ** 63 else object
+    src = np.array([si for si, _, _ in edges], dtype=np.int64)
+    dst = np.array([di for _, di, _ in edges], dtype=np.int64)
+    counts = np.array([c for _, _, c in edges], dtype=dtype)
+    inbound = np.zeros(rows.shape[1], dtype=dtype)  # spikes arriving at each cluster
+    np.add.at(inbound, dst, counts)
 
-    tiles = np.arange(hw.num_tiles)
-    x, y = (tiles % width).astype(dtype)[cols], (tiles // width).astype(dtype)[cols]
-    n = cols.shape[1]
-    arrivals = np.zeros((hw.num_tiles, n), dtype=dtype)
-    comm = np.zeros(n, dtype=dtype)
-    every_row = np.arange(n)
-    for si, di, count in edges:
-        arrivals[cols[di], every_row] += count
-        comm += count * (abs(x[si] - x[di]) + abs(y[si] - y[di]))
-    load = arrivals.max(axis=0) if p.tile_parallelism else arrivals.sum(axis=0)
-    return (load * p.spike_latency + comm * p.hop_latency).astype(np.float64)
+    tile_y, tile_x = np.divmod(np.arange(hw.num_tiles), width)
+    n = rows.shape[0]
+    out = np.empty(n)
+    step = max(1, _CHUNK_CELLS // max(len(edges), hw.num_tiles, rows.shape[1]))
+    for lo in range(0, n, step):
+        chunk = rows[lo:lo + step]
+        m = chunk.shape[0]
+        arrivals = np.zeros((hw.num_tiles, m), dtype=dtype)
+        np.add.at(arrivals, (chunk, np.arange(m)[:, None]), inbound)
+        x, y = tile_x[chunk], tile_y[chunk]
+        hops = abs(x[:, src] - x[:, dst]) + abs(y[:, src] - y[:, dst])  # (m, E)
+        comm = hops @ counts
+        load = arrivals.max(axis=0) if p.tile_parallelism else arrivals.sum(axis=0)
+        out[lo:lo + m] = load * p.spike_latency + comm * p.hop_latency
+    return out
 
 
 def execution_time(

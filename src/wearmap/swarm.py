@@ -10,13 +10,15 @@ when the context selects the time-only objective). Every feasible evaluation
 lands in an archive, the only store of evaluations, from which the
 (tau, aging) Pareto front is extracted afterwards.
 
-A step works on the whole swarm at once: one binarize over the (n_p, C, T)
-velocity, one repair_rows over all particles, and one
+A step works on the whole swarm at once: one sigmoid of the (n_p, C, T)
+velocity, which feeds both the bit draw (the one binarize also makes) and
+repair's preference, one repair_rows over all particles, and one
 EvalContext.evaluate_rows. Its tau comes from perf.execution_times and its
 aging from EvalContext.worst_tile_agings, the one worst-tile aging path;
 the exhaustive oracle calls both on its row blocks, and evaluate is their
 validated one-mapping case. Python loops over particles only for the
-overloaded rows repair has to move and for the archive and best updates.
+overloaded rows repair has to move and for the archive and best updates;
+the improved personal-best corners are written in one scatter.
 
 All randomness flows from one seeded generator, and best-updates reduce in
 particle-index order, so a run is a pure function of (instance, config).
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -206,12 +208,15 @@ class SwarmState:
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(v)
-    pos = v >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    """The logistic function without overflow: exp only ever sees -|v|."""
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _draw_bits(vhat: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """bit_d = 0 with probability vhat_d: one uniform draw per component, in
+    array order."""
+    return np.where(rng.random(vhat.shape) < vhat, 0, 1)
 
 
 def binarize(position: np.ndarray, velocity: np.ndarray,
@@ -220,10 +225,10 @@ def binarize(position: np.ndarray, velocity: np.ndarray,
 
     The stated rule reads only the velocity; the sampled bit replaces the real
     position outright. One uniform draw per component, in array order.
+    step_swarm makes the same draw from the sigmoid it also hands to repair,
+    so it does not call this function.
     """
-    v = np.asarray(velocity, dtype=np.float64)
-    vhat = _sigmoid(v)
-    return np.where(rng.random(v.shape) < vhat, 0, 1)
+    return _draw_bits(_sigmoid(np.asarray(velocity, dtype=np.float64)), rng)
 
 
 def _ring_walk(tile: int, mesh: tuple[int, int]):
@@ -253,8 +258,12 @@ def repair_rows(bits: np.ndarray, pref: np.ndarray, hw: HardwareConfig) -> np.nd
     to the first tile with room in (manhattan hops, index) order, found by a
     ring walk out from the overloaded tile. A tile that is not overloaded at
     the start never becomes so, and one walk serves all of a tile's evictions,
-    because the tiles it passes stay full. Only particles with an overloaded
-    tile enter that Python loop. The caller guarantees C <= total capacity.
+    because the tiles it passes stay full. Within one call, the ring order of
+    each overloaded tile is kept as a list that every particle overflowing
+    that tile reads and extends from the same walk, so it grows only as far
+    as some particle went; nothing outlives the call. Only particles with an
+    overloaded tile enter that Python loop. The caller guarantees
+    C <= total capacity.
     """
     nonzero = np.asarray(bits) != 0
     rows = np.where(nonzero.sum(axis=2) == 1, nonzero.argmax(axis=2),
@@ -263,6 +272,7 @@ def repair_rows(bits: np.ndarray, pref: np.ndarray, hw: HardwareConfig) -> np.nd
     cap = hw.tile_capacity
     offsets = rows + num_tiles * np.arange(n)[:, None]
     loads = np.bincount(offsets.ravel(), minlength=n * num_tiles).reshape(n, num_tiles)
+    rings: dict[int, tuple[list[int], Iterator[int]]] = {}  # tile -> (order so far, walk)
     for i in np.flatnonzero((loads > cap).any(axis=1)).tolist():
         row, load = rows[i].tolist(), loads[i].tolist()
         leaving: dict[int, list[int]] = {}  # overloaded tile -> clusters, highest first
@@ -270,11 +280,16 @@ def repair_rows(bits: np.ndarray, pref: np.ndarray, hw: HardwareConfig) -> np.nd
             if load[row[c]] > cap:
                 leaving.setdefault(row[c], []).append(c)
         for tile in sorted(leaving):
-            walk = _ring_walk(tile, hw.mesh)
-            dest = tile
+            if tile not in rings:
+                rings[tile] = ([], _ring_walk(tile, hw.mesh))
+            order, walk = rings[tile]
+            k, dest = 0, tile
             for c in leaving[tile][:load[tile] - cap]:
                 while load[dest] >= cap:
-                    dest = next(walk)
+                    if k == len(order):
+                        order.append(next(walk))
+                    dest = order[k]
+                    k += 1
                 row[c] = dest
                 load[dest] += 1
         rows[i] = row
@@ -316,10 +331,13 @@ def repair(
     return Mapping(repair_rows(b[None], prefm[None], hw)[0].tolist())
 
 
-def _corner(assignment: tuple[int, ...], num_tiles: int) -> np.ndarray:
-    m = np.zeros((len(assignment), num_tiles))
-    m[np.arange(len(assignment)), list(assignment)] = 1.0
-    return m.reshape(-1)
+def _corners(rows: np.ndarray, num_tiles: int) -> np.ndarray:
+    """The binary corner of every row of an (n, C) assignment array: its
+    one-hot (C, T) matrix, flattened."""
+    n, num_clusters = rows.shape
+    out = np.zeros((n, num_clusters * num_tiles))
+    out[np.arange(n)[:, None], np.arange(num_clusters) * num_tiles + rows] = 1.0
+    return out
 
 
 def _archive_insert(
@@ -361,11 +379,10 @@ def initialize_swarm(cfg: PsoConfig, ctx: EvalContext) -> SwarmState:
     rows = repair_rows(bits, prefs, ctx.hw)
     evals = ctx.evaluate_rows(rows)
 
-    positions = np.empty((n_p, num_clusters * num_tiles))
+    positions = _corners(rows, num_tiles)
     p_best_fit = np.empty(n_p)
     archive: dict[tuple[int, ...], ArchiveEntry] = {}
     for i, (assignment, ev) in enumerate(zip(map(tuple, rows.tolist()), evals)):
-        positions[i] = _corner(assignment, num_tiles)
         p_best_fit[i] = ctx.objective_value(ev)
         _archive_insert(archive, assignment, ev, 0)
 
@@ -388,15 +405,15 @@ def step_swarm(state: SwarmState, cfg: PsoConfig, ctx: EvalContext) -> SwarmStat
 
     Velocity gains fresh uniform pulls toward the personal and global best
     corners and is clamped to +-v_clamp; the real position integrates it.
-    The whole swarm is then binarized (one draw, the same stream as one draw
-    per particle in turn), repaired and evaluated in one batch, and archived
+    The sigmoid of the whole velocity is taken once: the swarm is binarized
+    from it (one draw, the same stream as one draw per particle in turn),
+    repaired with it as the preference and evaluated in one batch, and archived
     in particle order; personal bests update on strict improvement, the
     global best last (ties keep the incumbent, equal minima resolve to the
     lowest particle index).
     """
     n_p, dim = state.positions.shape
     num_tiles = ctx.hw.num_tiles
-    num_clusters = dim // num_tiles
 
     r1 = state.rng.random((n_p, dim))
     r2 = state.rng.random((n_p, dim))
@@ -410,17 +427,18 @@ def step_swarm(state: SwarmState, cfg: PsoConfig, ctx: EvalContext) -> SwarmStat
     state.positions = state.positions + vel
     state.iteration += 1
 
-    shape = (n_p, num_clusters, num_tiles)
-    vmat = vel.reshape(shape)
-    bits = binarize(state.positions.reshape(shape), vmat, state.rng)
-    rows = repair_rows(bits, _sigmoid(vmat), ctx.hw)
+    vhat = _sigmoid(vel.reshape(n_p, -1, num_tiles))
+    rows = repair_rows(_draw_bits(vhat, state.rng), vhat, ctx.hw)
     evals = ctx.evaluate_rows(rows)
+    improved = []
     for i, (assignment, ev) in enumerate(zip(map(tuple, rows.tolist()), evals)):
         _archive_insert(state.archive, assignment, ev, state.iteration)
         scalar = ctx.objective_value(ev)
         if scalar < state.p_best_fit[i]:
             state.p_best_fit[i] = scalar
-            state.p_best_pos[i] = _corner(assignment, num_tiles)
+            improved.append(i)
+    if improved:
+        state.p_best_pos[improved] = _corners(rows[improved], num_tiles)
 
     best = int(np.argmin(state.p_best_fit))
     if state.p_best_fit[best] < state.g_best_fit:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wearmap.perf as perf_module
 from wearmap.model import (
     Cluster,
     ClusteredSnn,
@@ -239,3 +240,74 @@ def test_execution_times_empty_batch():
     snn = _snn([("c0", "c1", 3)])
     out = execution_times(np.zeros((0, 2), dtype=np.int64), snn, _hw(), PerfParams())
     assert out.shape == (0,)
+
+
+def _mesh_automorphisms(width, height):
+    """Every tile relabelling that keeps the mesh's hop distances: the
+    reflections of each axis, and on a square mesh the transpose too (8 maps
+    on a square, 4 on a rectangle, some of them equal on a 1xT mesh)."""
+    maps = []
+    for swap in ([False, True] if width == height else [False]):
+        for flip_x in (False, True):
+            for flip_y in (False, True):
+                perm = []
+                for t in range(width * height):
+                    y, x = divmod(t, width)
+                    x = width - 1 - x if flip_x else x
+                    y = height - 1 - y if flip_y else y
+                    if swap:
+                        x, y = y, x
+                    perm.append(y * width + x)
+                maps.append(np.array(perm))
+    return maps
+
+
+@settings(max_examples=150, deadline=None)
+@given(_batches())
+def test_execution_times_invariant_under_mesh_automorphisms(batch):
+    snn, hw, rows, p = batch
+    want = execution_times(rows, snn, hw, p).tolist()
+    maps = _mesh_automorphisms(*hw.mesh)
+    assert len(maps) == (8 if hw.mesh[0] == hw.mesh[1] else 4)
+    for perm in maps:
+        moved = perm[rows]
+        assert execution_times(moved, snn, hw, p).tolist() == want
+        # tile_capacity is the cluster count, so every row is feasible
+        assert [execution_time(snn, Mapping(r), hw, p) for r in moved.tolist()] == want
+
+
+@st.composite
+def _multi_chunk_batches(draw):
+    width, height = draw(st.sampled_from([(2, 2), (3, 1), (1, 3), (3, 2), (4, 4)]))
+    num_tiles = width * height
+    num_clusters = draw(st.integers(2, 6))
+    ids = [f"c{i}" for i in range(num_clusters)]
+    # the last cluster only ever sends: it receives no spikes at all
+    pairs = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids[:-1])),
+                          min_size=1, max_size=8))
+    pairs += draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4))  # duplicates
+    pairs.append(draw(st.sampled_from([(c, c) for c in ids[:-1]])))  # a self-loop
+    count = st.one_of(st.integers(0, 50), st.integers(2 ** 61, 2 ** 63))
+    edges = [Edge(src, dst, draw(count)) for src, dst in pairs]
+    snn = ClusteredSnn([Cluster(cid, 4, 8) for cid in ids], edges, 1.0)
+    hw = _hw(num_tiles=num_tiles, tile_capacity=num_clusters, mesh=(width, height))
+    rows = draw(st.lists(st.lists(st.integers(0, num_tiles - 1), min_size=num_clusters,
+                                  max_size=num_clusters), min_size=1, max_size=40))
+    p = PerfParams(spike_latency=draw(st.sampled_from([1e-6, 2.5e-6])),
+                   hop_latency=draw(st.sampled_from([1e-7, 3e-6])),
+                   tile_parallelism=draw(st.booleans()))
+    cells = draw(st.integers(1, 3 * max(len(edges), num_tiles)))
+    return snn, hw, np.array(rows, dtype=np.int64), p, cells
+
+
+@settings(max_examples=200, deadline=None)
+@given(_multi_chunk_batches())
+def test_execution_times_across_chunks_equal_scalar_reference(batch):
+    # A chunk holds at most `cells` (edge or tile) x row cells, so these
+    # batches of up to 40 rows cross several chunk boundaries.
+    snn, hw, rows, p, cells = batch
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(perf_module, "_CHUNK_CELLS", cells)
+        got = execution_times(rows, snn, hw, p)
+    assert got.dtype == np.float64 and got.shape == (rows.shape[0],)
+    assert got.tolist() == [_reference_execution_time(snn, r, hw, p) for r in rows.tolist()]

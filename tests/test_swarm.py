@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import wearmap.swarm as swarm_module
 from wearmap.aging import AgingParams, NbtiParams, TddbParams, evaluate_hardware_aging
 from wearmap.config import load_run_config, parse_run_config
 from wearmap.model import (
@@ -46,6 +47,7 @@ from wearmap.swarm import (
     select_final,
     step_swarm,
 )
+from wearmap.swarm import _ring_walk, _sigmoid
 
 
 def _hw(num_tiles=4, tile_capacity=1, mesh=None):
@@ -273,6 +275,62 @@ def test_binarize_deterministic_for_seed():
     assert np.array_equal(a, b)
 
 
+def _masked_sigmoid(v):
+    """The sigmoid as it was first written: each sign through its own masked
+    exp, so that exp never overflows."""
+    out = np.empty_like(v)
+    pos = v >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
+
+
+_MIN_NORMAL = np.finfo(np.float64).tiny
+_SIGMOID_EDGES = [0.0, -0.0, 5e-324, -5e-324, _MIN_NORMAL, -_MIN_NORMAL,
+                  _MIN_NORMAL / 3, -_MIN_NORMAL / 3, 4.0, -4.0, 36.7, -36.7,
+                  708.4, -708.4, 745.1, -745.1, 746.0, -746.0, 1e300, -1e300,
+                  np.finfo(np.float64).max, -np.finfo(np.float64).max]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from(_SIGMOID_EDGES),
+                          st.floats(-800.0, 800.0)), min_size=1, max_size=40))
+@example(_SIGMOID_EDGES)
+def test_sigmoid_bit_equal_to_masked_reference(values):
+    # +-0, subnormals, +-v_clamp and magnitudes where exp underflows included
+    v = np.array(values, dtype=np.float64)
+    got = _sigmoid(v)
+    assert got.dtype == np.float64 and got.shape == v.shape
+    assert np.array_equal(got.view(np.uint64), _masked_sigmoid(v).view(np.uint64))
+
+
+def test_step_draws_bits_like_binarize(monkeypatch):
+    # The step draws its bits from the one sigmoid it also hands repair as the
+    # preference: the same bits binarize draws from the same stream.
+    ctx = _ctx(num_clusters=3, num_tiles=3)
+    cfg = PsoConfig(n_particles=5, max_iterations=1, seed=4, phi1=0.0, phi2=0.0)
+    state = initialize_swarm(cfg, ctx)
+    state.velocities = np.random.default_rng(1).normal(0.0, 3.0, state.velocities.shape)
+    state.rng = np.random.default_rng(2)
+    seen = []
+
+    def recording(bits, pref, hw):
+        seen.append((bits, pref))
+        return repair_rows(bits, pref, hw)
+
+    monkeypatch.setattr(swarm_module, "repair_rows", recording)
+    step_swarm(state, cfg, ctx)
+    probe = np.random.default_rng(2)
+    probe.random(state.positions.shape)  # the step's r1 and r2 come first
+    probe.random(state.positions.shape)
+    vmat = state.velocities.reshape(5, 3, 3)
+    (bits, pref), = seen
+    assert np.array_equal(bits, binarize(np.zeros_like(vmat), vmat, probe))
+    assert np.array_equal(pref, _sigmoid(vmat))
+
+
 # ---------------------------------------------------------------- repair
 
 
@@ -435,6 +493,53 @@ def test_repair_large_mesh_without_tile_table():
     res = optimize(wl.snn, hw, PsoConfig(n_particles=2, max_iterations=1, seed=0), ctx)
     assert res.total_evaluations == 4
     assert mapping_violations(res.mapping, wl.snn, hw) == []
+
+
+@st.composite
+def _mesh_tiles(draw):
+    long = draw(st.integers(1, 12))
+    mesh = draw(st.sampled_from([(1, long), (long, 1),
+                                 (draw(st.integers(1, 8)), draw(st.integers(1, 8)))]))
+    return mesh, draw(st.integers(0, mesh[0] * mesh[1] - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mesh_tiles())
+def test_ring_walk_is_every_other_tile_by_hops_then_index(case):
+    (width, height), tile = case
+    y0, x0 = divmod(tile, width)
+
+    def hops(t):
+        y, x = divmod(t, width)
+        return abs(x - x0) + abs(y - y0)
+
+    want = sorted((t for t in range(width * height) if t != tile),
+                  key=lambda t: (hops(t), t))
+    assert list(_ring_walk(tile, (width, height))) == want
+
+
+def test_repair_rows_many_particles_overflow_one_tile():
+    # Every particle crowds the centre of a 5x5 mesh, each to its own depth,
+    # so the centre's shared ring order is read, cut short and extended again
+    # by particles in turn; some also overflow a second tile.
+    hw = _hw(num_tiles=25, tile_capacity=1, mesh=(5, 5))
+    rng = np.random.default_rng(12)
+    n, num_clusters = 40, 24
+    bits = np.zeros((n, num_clusters, 25), dtype=np.int64)
+    for i in range(n):
+        crowd = rng.choice(num_clusters, size=int(rng.integers(2, num_clusters + 1)),
+                           replace=False)
+        rest = np.setdiff1d(np.arange(num_clusters), crowd)
+        bits[i, crowd, 12] = 1
+        bits[i, rest, rng.integers(0, 25, rest.size)] = 1
+    pref = rng.random((n, num_clusters, 25))
+    crowded = (bits[:, :, 12] != 0).sum(axis=1)
+    assert (crowded > 1).all() and len(set(crowded.tolist())) > 5
+    rows = repair_rows(bits, pref, hw)
+    for i, row in enumerate(rows.tolist()):
+        assert repair(bits[i], hw, np.random.default_rng(0), pref=pref[i]).assignment \
+            == tuple(row)
+        assert tuple(row) == _reference_repair(bits[i], hw, pref[i])
 
 
 # ---------------------------------------------------------------- stepping
