@@ -20,13 +20,12 @@ import math
 import statistics
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from .aging import (
-    AgingParams,
     CalibrationError,
     calibrate_baseline,
     evaluate_hardware_aging,
@@ -82,10 +81,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         w.writerows(rows)
 
 
-def _f(x) -> float:
-    return float(x)
-
-
 def _hash(assignment: tuple[int, ...]) -> str:
     return hashlib.sha256(",".join(map(str, assignment)).encode("ascii")).hexdigest()[:12]
 
@@ -98,18 +93,6 @@ def _require_feasible(workload: Workload, hw: HardwareConfig) -> None:
     problems = validate_snn(workload.snn, hw)
     if problems:
         raise InfeasibleError("; ".join(str(p) for p in problems))
-
-
-def _params_dict(p: AgingParams) -> dict:
-    return {
-        "tddb": {"a": p.tddb.a, "gamma": p.tddb.gamma, "beta": p.tddb.beta,
-                 "ea": p.tddb.ea, "t_ref": p.tddb.t_ref},
-        "nbti": {"g0": p.nbti.g0, "m": p.nbti.m, "n": p.nbti.n,
-                 "v_threshold": p.nbti.v_threshold, "ea": p.nbti.ea},
-        "hci": {"g0": p.hci.g0, "m": p.hci.m, "n": p.hci.n,
-                "v_threshold": p.hci.v_threshold, "ea": p.hci.ea,
-                "enabled": p.hci.enabled},
-    }
 
 
 def _ratio(x: float, base: float) -> float:
@@ -138,7 +121,7 @@ def cmd_calibrate(args, cfg: RunConfig, out_dir: Path) -> int:
                                     cfg.target_mttf_seconds)
     report = evaluate_hardware_aging(workload, baseline, hw, calibrated)
     _write_json(out_dir / "calibrated_params.json", {
-        "params": _params_dict(calibrated),
+        "params": asdict(calibrated),
         "baseline_assignment": list(baseline.assignment),
         "achieved_mttf_seconds": report.mttf,
         "achieved_mttf_years": report.mttf / YEAR_SECONDS,
@@ -166,10 +149,10 @@ def cmd_map(args, cfg: RunConfig, out_dir: Path) -> int:
     _write_csv(
         out_dir / "archive.csv",
         ["mapping_hash", "assignment", "tau", "aging", "lambda", "iteration"],
-        [[_hash(e.assignment), _astr(e.assignment), _f(e.tau), _f(e.aging),
-          _f(e.lam), e.iteration] for e in res.archive],
+        [[_hash(e.assignment), _astr(e.assignment), float(e.tau), float(e.aging),
+          float(e.lam), e.iteration] for e in res.archive],
     )
-    front_points = [(p.mapping.assignment, _f(p.tau), _f(p.aging))
+    front_points = [(p.mapping.assignment, float(p.tau), float(p.aging))
                     for p in res.front.points]
     _write_csv(
         out_dir / "front.csv",
@@ -181,7 +164,7 @@ def cmd_map(args, cfg: RunConfig, out_dir: Path) -> int:
                    for a, t, g in front_points],
     })
     neuron_rows = sorted(
-        ((na.tile, cid, _f(na.tddb), _f(na.nbti), _f(na.hci), _f(na.overall))
+        ((na.tile, cid, float(na.tddb), float(na.nbti), float(na.hci), float(na.overall))
          for cid, na in report.per_neuron.items()),
         key=lambda r: (r[0], r[1]),
     )
@@ -269,8 +252,8 @@ def cmd_sweep(args, cfg: RunConfig, out_dir: Path) -> int:
 
     _, tau0, aging0, mttf0 = results[0]
     rows = [
-        [value, _f(tau), _f(aging), _f(mttf),
-         _f(_ratio(tau, tau0)), _f(_ratio(aging, aging0)), _f(_ratio(mttf, mttf0))]
+        [value, float(tau), float(aging), float(mttf),
+         float(_ratio(tau, tau0)), float(_ratio(aging, aging0)), float(_ratio(mttf, mttf0))]
         for value, tau, aging, mttf in results
     ]
     _write_csv(out_dir / "sweep.csv",
@@ -280,9 +263,9 @@ def cmd_sweep(args, cfg: RunConfig, out_dir: Path) -> int:
     if args.plot_data:
         prows = []
         for value, tau, aging, mttf in results:
-            prows.append([args.axis, str(value), "tau_norm", _f(_ratio(tau, tau0))])
-            prows.append([args.axis, str(value), "aging_norm", _f(_ratio(aging, aging0))])
-            prows.append([args.axis, str(value), "mttf_norm", _f(_ratio(mttf, mttf0))])
+            prows.append([args.axis, str(value), "tau_norm", float(_ratio(tau, tau0))])
+            prows.append([args.axis, str(value), "aging_norm", float(_ratio(aging, aging0))])
+            prows.append([args.axis, str(value), "mttf_norm", float(_ratio(mttf, mttf0))])
         _write_csv(out_dir / "plot_data.csv", ["group", "label", "metric", "value"], prows)
     for value, tau, aging, mttf in results:
         print(f"{args.axis}={value}: tau {tau:.6e} s, aging {aging:.6e}, mttf {mttf:.6e} s")
@@ -327,9 +310,9 @@ def cmd_compare(args, cfg: RunConfig, out_dir: Path) -> int:
     rows = []
     for name, assignment, tau, aging in strategies:
         mttf = mttf_from_aging(aging, window, beta)
-        rows.append([name, assignment, _f(tau), _f(aging), _f(mttf),
-                     _f(_ratio(tau, base_tau)), _f(_ratio(aging, base_aging)),
-                     _f(_ratio(mttf, base_mttf))])
+        rows.append([name, assignment, float(tau), float(aging), float(mttf),
+                     float(_ratio(tau, base_tau)), float(_ratio(aging, base_aging)),
+                     float(_ratio(mttf, base_mttf))])
     _write_csv(out_dir / "compare.csv",
                ["strategy", "assignment", "tau", "aging", "mttf", "tau_ratio",
                 "aging_ratio", "mttf_ratio"],

@@ -51,7 +51,8 @@ def _check_keys(d: dict, allowed: set[str], path: str) -> None:
 
 
 def _get(d: dict, key: str, path: str, kind, default=_MISSING):
-    """Fetch and type-check one field. kind is bool/int/float/str/list/dict.
+    """Fetch and type-check one field. kind is bool/int/float/str/list/dict,
+    or a section parser, called as kind(value, field path).
 
     bool is checked before the int family because Python bools are ints.
     """
@@ -81,7 +82,7 @@ def _get(d: dict, key: str, path: str, kind, default=_MISSING):
         return val
     if kind is dict:
         return _mapping(val, where)
-    raise AssertionError(f"unhandled kind {kind!r}")
+    return kind(val, where)
 
 
 def _number(val, where: str) -> float:
@@ -107,35 +108,35 @@ def _build(ctor, kwargs: dict, path: str):
         raise ConfigError(f"{path}: {e}") from e
 
 
-def _parse_device(node, path: str) -> DeviceProfile:
+def _fields(node, path: str, kinds: dict, required=()) -> dict:
+    """The fields of a mapping node, checked in kinds' order: unknown keys are
+    refused, a missing required field too, and each field present is fetched
+    with _get as its kind."""
     d = _mapping(node, path)
-    _check_keys(d, {"kind", "v_active", "v_idle", "spike_pulse_width"}, path)
-    kwargs = {"kind": _get(d, "kind", path, str)}
-    for key in ("v_active", "v_idle", "spike_pulse_width"):
-        val = _get(d, key, path, float, default=None)
-        if val is not None:
-            kwargs[key] = val
-    return _build(DeviceProfile, kwargs, path)
+    _check_keys(d, set(kinds), path)
+    return {key: _get(d, key, path, kind)
+            for key, kind in kinds.items() if key in d or key in required}
+
+
+def _section(ctor, kinds: dict, required=()):
+    """A parser of a mapping node whose fields are ctor's keyword arguments."""
+    return lambda node, path: _build(ctor, _fields(node, path, kinds, required), path)
+
+
+_parse_device = _section(
+    DeviceProfile,
+    {"kind": str, "v_active": float, "v_idle": float, "spike_pulse_width": float},
+    required=("kind",),
+)
 
 
 def _parse_hardware(node, path: str) -> HardwareConfig:
-    d = _mapping(node, path)
-    _check_keys(
-        d, {"num_tiles", "crossbar_dim", "tile_capacity", "temperature", "mesh", "device"},
-        path,
-    )
-    kwargs = {
-        "num_tiles": _get(d, "num_tiles", path, int),
-        "crossbar_dim": _get(d, "crossbar_dim", path, int),
-        "device_profile": _parse_device(_get(d, "device", path, dict), f"{path}.device"),
-    }
-    cap = _get(d, "tile_capacity", path, int, default=None)
-    if cap is not None:
-        kwargs["tile_capacity"] = cap
-    temp = _get(d, "temperature", path, float, default=None)
-    if temp is not None:
-        kwargs["temperature"] = temp
-    mesh = _get(d, "mesh", path, list, default=None)
+    kwargs = _fields(node, path, {
+        "num_tiles": int, "crossbar_dim": int, "device": _parse_device,
+        "tile_capacity": int, "temperature": float, "mesh": list,
+    }, required=("num_tiles", "crossbar_dim", "device"))
+    kwargs["device_profile"] = kwargs.pop("device")
+    mesh = kwargs.get("mesh")
     if mesh is not None:
         if len(mesh) != 2 or any(isinstance(x, bool) or not isinstance(x, int) for x in mesh):
             raise ConfigError(f"{path}.mesh: expected [width, height] integers")
@@ -143,62 +144,19 @@ def _parse_hardware(node, path: str) -> HardwareConfig:
     return _build(HardwareConfig, kwargs, path)
 
 
-_TDDB_KEYS = {"a", "gamma", "beta", "ea", "t_ref"}
-_NBTI_KEYS = {"g0", "m", "n", "v_threshold", "ea"}
-
-
-def _parse_mech(node, path: str, allowed: set[str], ctor):
-    d = _mapping(node, path)
-    _check_keys(d, allowed, path)
-    kwargs = {}
-    for key in sorted(allowed):
-        if key in d:
-            kwargs[key] = _get(d, key, path, bool if key == "enabled" else float)
-    return _build(ctor, kwargs, path)
-
-
-def _parse_aging(node, path: str) -> AgingParams:
-    d = _mapping(node, path)
-    _check_keys(d, {"tddb", "nbti", "hci"}, path)
-    kwargs = {}
-    if "tddb" in d:
-        kwargs["tddb"] = _parse_mech(d["tddb"], f"{path}.tddb", _TDDB_KEYS, TddbParams)
-    if "nbti" in d:
-        kwargs["nbti"] = _parse_mech(d["nbti"], f"{path}.nbti", _NBTI_KEYS, NbtiParams)
-    if "hci" in d:
-        kwargs["hci"] = _parse_mech(d["hci"], f"{path}.hci", _NBTI_KEYS | {"enabled"}, HciParams)
-    return AgingParams(**kwargs)
-
-
-def _parse_perf(node, path: str) -> PerfParams:
-    d = _mapping(node, path)
-    _check_keys(d, {"spike_latency", "hop_latency", "tile_parallelism"}, path)
-    kwargs = {}
-    for key in ("spike_latency", "hop_latency"):
-        val = _get(d, key, path, float, default=None)
-        if val is not None:
-            kwargs[key] = val
-    par = _get(d, "tile_parallelism", path, bool, default=None)
-    if par is not None:
-        kwargs["tile_parallelism"] = par
-    return _build(PerfParams, kwargs, path)
-
-
-def _parse_pso(node, path: str) -> PsoConfig:
-    d = _mapping(node, path)
-    _check_keys(
-        d, {"n_particles", "max_iterations", "phi1", "phi2", "seed", "v_clamp"}, path
-    )
-    kwargs = {}
-    for key in ("n_particles", "max_iterations", "seed"):
-        val = _get(d, key, path, int, default=None)
-        if val is not None:
-            kwargs[key] = val
-    for key in ("phi1", "phi2", "v_clamp"):
-        val = _get(d, key, path, float, default=None)
-        if val is not None:
-            kwargs[key] = val
-    return _build(PsoConfig, kwargs, path)
+# Wear constants are read in sorted key order.
+_NBTI_KINDS = dict.fromkeys(("ea", "g0", "m", "n", "v_threshold"), float)
+_parse_aging = _section(AgingParams, {
+    "tddb": _section(TddbParams, dict.fromkeys(("a", "beta", "ea", "gamma", "t_ref"), float)),
+    "nbti": _section(NbtiParams, _NBTI_KINDS),
+    "hci": _section(HciParams, {**_NBTI_KINDS, "enabled": bool}),
+})
+_parse_perf = _section(
+    PerfParams, {"spike_latency": float, "hop_latency": float, "tile_parallelism": bool})
+_parse_pso = _section(PsoConfig, {
+    "n_particles": int, "max_iterations": int, "seed": int,
+    "phi1": float, "phi2": float, "v_clamp": float,
+})
 
 
 def _parse_poisson_workload(node, path: str) -> Workload:
@@ -233,33 +191,21 @@ def _parse_poisson_workload(node, path: str) -> Workload:
         raise ConfigError(f"{path}: {e}") from e
 
 
+_CLUSTER_KINDS = {"id": str, "neuron_count": int, "synapse_count": int}
+_EDGE_KINDS = {"src": str, "dst": str, "spike_count": int}
+_parse_cluster = _section(Cluster, _CLUSTER_KINDS, required=_CLUSTER_KINDS)
+_parse_edge = _section(Edge, _EDGE_KINDS, required=_EDGE_KINDS)
+
+
 def _parse_inline_workload(node, path: str) -> Workload:
     d = _mapping(node, path)
     _check_keys(d, {"window", "clusters", "edges", "trains"}, path)
     window = _get(d, "window", path, float)
 
-    clusters = []
-    raw_clusters = _get(d, "clusters", path, list)
-    for i, c in enumerate(raw_clusters):
-        cpath = f"{path}.clusters[{i}]"
-        cd = _mapping(c, cpath)
-        _check_keys(cd, {"id", "neuron_count", "synapse_count"}, cpath)
-        clusters.append(_build(Cluster, {
-            "id": _get(cd, "id", cpath, str),
-            "neuron_count": _get(cd, "neuron_count", cpath, int),
-            "synapse_count": _get(cd, "synapse_count", cpath, int),
-        }, cpath))
-
-    edges = []
-    for i, e in enumerate(_get(d, "edges", path, list, default=[])):
-        epath = f"{path}.edges[{i}]"
-        ed = _mapping(e, epath)
-        _check_keys(ed, {"src", "dst", "spike_count"}, epath)
-        edges.append(_build(Edge, {
-            "src": _get(ed, "src", epath, str),
-            "dst": _get(ed, "dst", epath, str),
-            "spike_count": _get(ed, "spike_count", epath, int),
-        }, epath))
+    clusters = [_parse_cluster(c, f"{path}.clusters[{i}]")
+                for i, c in enumerate(_get(d, "clusters", path, list))]
+    edges = [_parse_edge(e, f"{path}.edges[{i}]")
+             for i, e in enumerate(_get(d, "edges", path, list, default=[]))]
 
     snn = _build(ClusteredSnn,
                  {"clusters": clusters, "edges": edges, "workload_window": window},
@@ -320,6 +266,20 @@ def check_wear_rates(aging: AgingParams, hw: HardwareConfig) -> None:
             raise ConfigError(f"{label} is {value!r}; it must be finite and > 0")
 
 
+def _check_pulse_width(hw: HardwareConfig, workload: Workload) -> None:
+    """Refuse a spike_pulse_width too small to lengthen some spike time: when
+    t + width rounds back to t, that pulse has no duration, and the stress
+    kernel and the voltage trace both stopped on it in the middle of a run."""
+    width = hw.device_profile.spike_pulse_width
+    for cid, train in workload.trains.items():
+        lost = train.times[train.times + width <= train.times]
+        if lost.size:
+            raise ConfigError(
+                f"hardware.device.spike_pulse_width: {width!r} s vanishes when added to "
+                f"spike time {float(lost[0])!r} s of cluster {cid!r}; it must lengthen "
+                "every spike time")
+
+
 @dataclass
 class RunConfig:
     """Parsed and validated run configuration plus the verbatim source text."""
@@ -337,7 +297,12 @@ class RunConfig:
 
     def pso_with_seed(self, seed: int | None) -> PsoConfig:
         """The run's swarm config, optionally with the CLI seed override."""
-        return self.pso if seed is None else replace(self.pso, seed=seed)
+        if seed is None:
+            return self.pso
+        try:
+            return replace(self.pso, seed=seed)
+        except ValueError as e:
+            raise ConfigError(f"--seed: {e}") from e
 
 
 def parse_run_config(text: str) -> RunConfig:
@@ -368,6 +333,7 @@ def parse_run_config(text: str) -> RunConfig:
     perf = _parse_perf(root["perf"], "perf") if "perf" in root else PerfParams()
     pso = _parse_pso(root["pso"], "pso") if "pso" in root else PsoConfig()
     workload = _parse_workload(_get(root, "workload", "config", dict), "workload")
+    _check_pulse_width(hardware, workload)
 
     return RunConfig(
         raw_text=text,

@@ -156,6 +156,8 @@ class HardwareConfig:
         else:
             object.__setattr__(self, "mesh", (int(self.mesh[0]), int(self.mesh[1])))
         w, h = self.mesh
+        if w < 1 or h < 1:
+            raise ValueError(f"mesh {w}x{h} must have both dimensions >= 1")
         if w * h != self.num_tiles:
             raise ValueError(f"mesh {w}x{h} does not cover num_tiles={self.num_tiles}")
 

@@ -12,13 +12,16 @@ lands in an archive, the only store of evaluations, from which the
 
 A step works on the whole swarm at once: one sigmoid of the (n_p, C, T)
 velocity, which feeds both the bit draw (the one binarize also makes) and
-repair's preference, one repair_rows over all particles, and one
-EvalContext.evaluate_rows. Its tau comes from perf.execution_times and its
-aging from EvalContext.worst_tile_agings, the one worst-tile aging path;
-the exhaustive oracle calls both on its row blocks, and evaluate is their
-validated one-mapping case. Python loops over particles only for the
-overloaded rows repair has to move and for the archive and best updates;
-the improved personal-best corners are written in one scatter.
+repair's preference, and one repair_rows over all particles. One update then
+evaluates the repaired rows with one EvalContext.evaluate_rows, archives
+them and updates the bests; initialization is that same update applied to
+the random starting corners as iteration 0. Tau comes from
+perf.execution_times and aging from EvalContext.worst_tile_agings, the one
+worst-tile aging path; the exhaustive oracle calls both on its row blocks,
+and evaluate is their validated one-mapping case. Python loops over
+particles only for the overloaded rows repair has to move and for the
+archive and best updates; the improved personal-best corners are written in
+one scatter. The front is one sweep over the archive sorted by (tau, aging).
 
 All randomness flows from one seeded generator, and best-updates reduce in
 particle-index order, so a run is a pure function of (instance, config).
@@ -174,6 +177,8 @@ class PsoConfig:
             raise ValueError("phi1 and phi2 must be finite and >= 0")
         if not (math.isfinite(self.v_clamp) and self.v_clamp > 0.0):
             raise ValueError("v_clamp must be finite and > 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def resolved(self, num_clusters: int) -> tuple[int, int]:
         n_p = self.n_particles if self.n_particles is not None else max(20, 2 * num_clusters)
@@ -340,27 +345,35 @@ def _corners(rows: np.ndarray, num_tiles: int) -> np.ndarray:
     return out
 
 
-def _archive_insert(
-    archive: dict[tuple[int, ...], ArchiveEntry],
-    assignment: tuple[int, ...],
-    ev: Evaluation,
-    iteration: int,
-) -> None:
-    if assignment not in archive:
-        archive[assignment] = ArchiveEntry(
-            assignment=assignment,
-            tau=ev.tau,
-            aging=ev.aging,
-            lam=ev.lam,
-            iteration=iteration,
-        )
+def _update(state: SwarmState, rows: np.ndarray, ctx: EvalContext) -> None:
+    """Evaluate one iteration's repaired rows in one batch, archive each new
+    assignment in particle order, update personal bests on strict improvement
+    (the improved corners written in one scatter), then the global best: ties
+    keep the incumbent, and equal minima resolve to the lowest particle index."""
+    improved = []
+    for i, (assignment, ev) in enumerate(zip(map(tuple, rows.tolist()),
+                                             ctx.evaluate_rows(rows))):
+        if assignment not in state.archive:
+            state.archive[assignment] = ArchiveEntry(assignment, ev.tau, ev.aging, ev.lam,
+                                                     state.iteration)
+        scalar = ctx.objective_value(ev)
+        if scalar < state.p_best_fit[i]:
+            state.p_best_fit[i] = scalar
+            improved.append(i)
+    if improved:
+        state.p_best_pos[improved] = _corners(rows[improved], ctx.hw.num_tiles)
+    best = int(np.argmin(state.p_best_fit))
+    if state.p_best_fit[best] < state.g_best_fit:
+        state.g_best_fit = float(state.p_best_fit[best])
+        state.g_best_pos = state.p_best_pos[best].copy()
 
 
 def initialize_swarm(cfg: PsoConfig, ctx: EvalContext) -> SwarmState:
     """Seeded start: every particle sits at a repaired random binary corner
-    with zero velocity, already evaluated and archived as iteration 0. The
-    draws stay per particle (bits, then pref); repair and evaluation run once
-    over the stacked arrays."""
+    with zero velocity. The draws stay per particle (bits, then pref); repair
+    runs once over the stacked arrays, and the update step evaluates and
+    archives them as iteration 0, from personal bests of inf and particle 0's
+    corner as the global best (which an all-inf swarm keeps)."""
     snn = ctx.workload.snn
     num_clusters = len(snn.clusters)
     num_tiles = ctx.hw.num_tiles
@@ -377,27 +390,19 @@ def initialize_swarm(cfg: PsoConfig, ctx: EvalContext) -> SwarmState:
         bits[i] = rng.integers(0, 2, (num_clusters, num_tiles))
         prefs[i] = rng.random((num_clusters, num_tiles))
     rows = repair_rows(bits, prefs, ctx.hw)
-    evals = ctx.evaluate_rows(rows)
-
     positions = _corners(rows, num_tiles)
-    p_best_fit = np.empty(n_p)
-    archive: dict[tuple[int, ...], ArchiveEntry] = {}
-    for i, (assignment, ev) in enumerate(zip(map(tuple, rows.tolist()), evals)):
-        p_best_fit[i] = ctx.objective_value(ev)
-        _archive_insert(archive, assignment, ev, 0)
-
-    best = int(np.argmin(p_best_fit))
-    return SwarmState(
+    state = SwarmState(
         positions=positions,
         velocities=np.zeros_like(positions),
         p_best_pos=positions.copy(),
-        p_best_fit=p_best_fit,
-        g_best_pos=positions[best].copy(),
-        g_best_fit=float(p_best_fit[best]),
+        p_best_fit=np.full(n_p, math.inf),
+        g_best_pos=positions[0].copy(),
+        g_best_fit=math.inf,
         iteration=0,
         rng=rng,
-        archive=archive,
     )
+    _update(state, rows, ctx)
+    return state
 
 
 def step_swarm(state: SwarmState, cfg: PsoConfig, ctx: EvalContext) -> SwarmState:
@@ -406,14 +411,11 @@ def step_swarm(state: SwarmState, cfg: PsoConfig, ctx: EvalContext) -> SwarmStat
     Velocity gains fresh uniform pulls toward the personal and global best
     corners and is clamped to +-v_clamp; the real position integrates it.
     The sigmoid of the whole velocity is taken once: the swarm is binarized
-    from it (one draw, the same stream as one draw per particle in turn),
-    repaired with it as the preference and evaluated in one batch, and archived
-    in particle order; personal bests update on strict improvement, the
-    global best last (ties keep the incumbent, equal minima resolve to the
-    lowest particle index).
+    from it (one draw, the same stream as one draw per particle in turn) and
+    repaired with it as the preference. The update that also ends
+    initialize_swarm then evaluates, archives and updates the bests.
     """
     n_p, dim = state.positions.shape
-    num_tiles = ctx.hw.num_tiles
 
     r1 = state.rng.random((n_p, dim))
     r2 = state.rng.random((n_p, dim))
@@ -427,23 +429,8 @@ def step_swarm(state: SwarmState, cfg: PsoConfig, ctx: EvalContext) -> SwarmStat
     state.positions = state.positions + vel
     state.iteration += 1
 
-    vhat = _sigmoid(vel.reshape(n_p, -1, num_tiles))
-    rows = repair_rows(_draw_bits(vhat, state.rng), vhat, ctx.hw)
-    evals = ctx.evaluate_rows(rows)
-    improved = []
-    for i, (assignment, ev) in enumerate(zip(map(tuple, rows.tolist()), evals)):
-        _archive_insert(state.archive, assignment, ev, state.iteration)
-        scalar = ctx.objective_value(ev)
-        if scalar < state.p_best_fit[i]:
-            state.p_best_fit[i] = scalar
-            improved.append(i)
-    if improved:
-        state.p_best_pos[improved] = _corners(rows[improved], num_tiles)
-
-    best = int(np.argmin(state.p_best_fit))
-    if state.p_best_fit[best] < state.g_best_fit:
-        state.g_best_fit = float(state.p_best_fit[best])
-        state.g_best_pos = state.p_best_pos[best].copy()
+    vhat = _sigmoid(vel.reshape(n_p, -1, ctx.hw.num_tiles))
+    _update(state, repair_rows(_draw_bits(vhat, state.rng), vhat, ctx.hw), ctx)
     return state
 
 
@@ -476,7 +463,8 @@ class ParetoFront:
 
 
 def extract_pareto(archive: Iterable[ArchiveEntry]) -> ParetoFront:
-    """Exact non-dominated subset of the archive under (tau, aging) minimization.
+    """Exact non-dominated subset of the archive under (tau, aging) minimization,
+    sorted by (tau, aging, assignment).
 
     NaN objectives are refused: they have no order, so neither the sort nor the
     sweep below could place them.
@@ -487,27 +475,16 @@ def extract_pareto(archive: Iterable[ArchiveEntry]) -> ParetoFront:
     if any(math.isnan(e.tau) or math.isnan(e.aging) for e in entries):
         raise ValueError("archive holds a NaN objective")
     entries.sort(key=lambda e: (e.tau, e.aging, e.assignment))
-    points: list[FrontPoint] = []
-    best_aging = math.inf
-    i, n = 0, len(entries)
-    while i < n:
-        j = i
-        while j < n and entries[j].tau == entries[i].tau:
-            j += 1
-        group_min = entries[i].aging  # group is aging-sorted; first is the min
-        # The fastest group is never dominated, even when its aging is inf.
-        if not points or group_min < best_aging:
-            for k in range(i, j):
-                if entries[k].aging != group_min:
-                    break
-                points.append(FrontPoint(
-                    mapping=Mapping(entries[k].assignment),
-                    tau=entries[k].tau,
-                    aging=entries[k].aging,
-                ))
-            best_aging = group_min
-        i = j
-    return ParetoFront(points=tuple(points))
+    # One sweep (Kung, Luccio & Preparata 1975): an entry is on the front when
+    # it ages strictly less than the last point kept, or ties that point's
+    # (tau, aging). The fastest group is never dominated, even at inf aging.
+    points = [entries[0]]
+    for e in entries[1:]:
+        last = points[-1]
+        if e.aging < last.aging or (e.tau == last.tau and e.aging == last.aging):
+            points.append(e)
+    return ParetoFront(points=tuple(FrontPoint(Mapping(e.assignment), e.tau, e.aging)
+                                    for e in points))
 
 
 def select_final(front: ParetoFront, epsilon: float = 0.05) -> Mapping:

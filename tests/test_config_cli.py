@@ -1,10 +1,14 @@
 """Config schema validation and CLI behavior: exit codes, files, determinism."""
 
+import copy
 import json
 import math
 import re
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wearmap.aging import mttf_from_aging
 from wearmap.cli import _write_json, main
@@ -241,6 +245,84 @@ def test_pso_with_seed_override():
     assert cfg.pso_with_seed(42).n_particles == cfg.pso.n_particles
 
 
+# Every field of the schema, each set to a valid value; the two workload
+# sources are swapped in below.
+_FULL = """\
+epsilon: 0.05
+target_mttf_years: 2.0
+n_random: 5
+output: out
+hardware:
+  num_tiles: 2
+  crossbar_dim: 16
+  tile_capacity: 1
+  temperature: 300.0
+  mesh: [2, 1]
+  device: {kind: diode_1D1R, v_active: 3.0, v_idle: 0.5, spike_pulse_width: 1.0e-3}
+aging:
+  tddb: {a: 1.0e+7, gamma: 2.0, beta: 2.0, ea: 0.5, t_ref: 300.0}
+  nbti: {g0: 1.0e-4, m: 2.0, n: 0.5, v_threshold: 1.8, ea: 0.5}
+  hci: {g0: 1.0e-4, m: 2.0, n: 0.5, v_threshold: 1.8, ea: 0.5, enabled: true}
+perf: {spike_latency: 1.0e-6, hop_latency: 1.0e-7, tile_parallelism: true}
+pso: {n_particles: 4, max_iterations: 2, phi1: 2.0, phi2: 2.0, seed: 0, v_clamp: 4.0}
+"""
+_SOURCES = [
+    {"inline": yaml.safe_load(BASE)["workload"]["inline"]},
+    {"poisson": {"num_clusters": 2, "neurons_per_cluster": 4, "synapses_per_cluster": 8,
+                 "kind": "chain", "edge_prob": 0.5, "rate": [2.0, 3.0], "window": 1.0,
+                 "seed": 1}},
+]
+_DELETE = object()
+# Small magnitudes only: a mutated rate, window or cluster count is generated.
+_VALUES = st.one_of(
+    st.just(_DELETE), st.none(), st.booleans(), st.integers(-3, 8),
+    st.floats(-4.0, 4.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1.0e-30, -0.0]),
+    st.text(max_size=3),
+    st.lists(st.one_of(st.integers(-1, 3), st.floats(-1.0, 2.0), st.text(max_size=1)),
+             max_size=3),
+    st.dictionaries(st.sampled_from(["a", "b", "kind", "x"]), st.integers(0, 2), max_size=2),
+)
+
+
+def _nodes(node):
+    """Every mapping in a parsed YAML tree, lists included."""
+    if isinstance(node, dict):
+        yield node
+        children = node.values()
+    elif isinstance(node, list):
+        children = node
+    else:
+        return
+    for child in children:
+        yield from _nodes(child)
+
+
+def test_full_schema_config_parses():
+    for source in _SOURCES:
+        parse_run_config(yaml.safe_dump({**yaml.safe_load(_FULL), "workload": source}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(_SOURCES))
+def test_parse_run_config_raises_only_config_error(data, source):
+    # Mistyped, missing and unknown fields anywhere in the tree: each either
+    # parses or is refused with a ConfigError, never another exception.
+    root = {**yaml.safe_load(_FULL), "workload": copy.deepcopy(source)}
+    for _ in range(data.draw(st.integers(1, 3))):
+        node = data.draw(st.sampled_from(list(_nodes(root))))
+        key = data.draw(st.sampled_from(sorted(node) + ["bogus"]))
+        value = data.draw(_VALUES)
+        if value is _DELETE:
+            node.pop(key, None)
+        else:
+            node[key] = value
+    try:
+        parse_run_config(yaml.safe_dump(root))
+    except ConfigError:
+        pass
+
+
 def test_invalid_yaml_is_config_error():
     with pytest.raises(ConfigError, match="YAML"):
         parse_run_config("a: [unclosed\n")
@@ -353,16 +435,35 @@ workload:
      r"aging\.nbti: g0\(T=300\.0 K\) is inf"),
     (BASE + "aging: {hci: {enabled: true, g0: 1.0e-300, ea: 10.0}, tddb: {t_ref: 400.0}}\n",
      r"aging\.hci: g0\(T=300\.0 K\) is 0\.0"),
+    # numpy refused the negative seed with a traceback and exit 1
+    (BASE.replace("seed: 3", "seed: -1"), r"pso: seed must be >= 0"),
+    # only the product was checked, and repair_rows then ended in StopIteration
+    (BASE.replace("temperature: 300.0", "temperature: 300.0\n  mesh: [-1, -2]"),
+     r"hardware: mesh -1x-2 must have both dimensions >= 1"),
+    # 0.1 + 1.0e-30 == 0.1: a pulse of no length, refused mid-run (exit 1)
+    (BASE.replace("kind: diode_1D1R", "kind: diode_1D1R\n    spike_pulse_width: 1.0e-30"),
+     r"hardware\.device\.spike_pulse_width: 1e-30 s vanishes .* spike time 0\.1 s"),
 ], ids=["temperature_nan", "inline_window_inf", "poisson_window_inf", "epsilon_nan",
         "target_mttf_inf", "spike_latency_nan", "spike_time_nan", "v_active_inf",
         "tddb_a_inf", "hop_latency_inf", "tddb_alpha_underflow", "tddb_alpha_overflow",
-        "nbti_g0_overflow", "hci_g0_underflow"])
+        "nbti_g0_overflow", "hci_g0_underflow", "pso_seed_negative", "mesh_negative",
+        "pulse_width_vanishes"])
 def test_cli_non_finite_number_exits_2(tmp_path, capsys, text, field):
     p = _write(tmp_path, text)
     for command in ("map", "verify"):
         code = main([command, "--config", str(p), "--output", str(tmp_path / command)])
         assert code == 2
         assert re.search(field, capsys.readouterr().err)
+
+
+def test_cli_negative_seed_flag_exits_2(tmp_path, capsys):
+    p = _write(tmp_path, BASE)
+    for extra in (["map"], ["verify"], ["compare"],
+                  ["sweep", "--axis", "temperature", "--values", "300"]):
+        code = main(extra + ["--config", str(p), "--output", str(tmp_path / extra[0]),
+                             "--seed", "-3"])
+        assert code == 2
+        assert "--seed: seed must be >= 0" in capsys.readouterr().err
 
 
 def test_cli_sweep_refuses_wear_rate_overflow(tmp_path, capsys):

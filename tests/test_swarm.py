@@ -560,6 +560,21 @@ def test_initialize_swarm_feasible_and_evaluated():
         assert mapping_violations(Mapping(entry.assignment), snn, ctx.hw) == []
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide")
+def test_initialize_all_infinite_swarm_keeps_particle_zero():
+    # alpha ~ 1e-313: every aging, and so every lambda, is inf. No personal
+    # best improves on the starting inf, and the global best stays particle
+    # 0's corner, the one argmin picks out of an all-inf swarm.
+    base = _ctx(num_clusters=3, num_tiles=3)
+    ctx = EvalContext(base.workload, base.hw, AgingParams(tddb=TddbParams(gamma=425.0)),
+                      PerfParams())
+    state = initialize_swarm(PsoConfig(n_particles=6, max_iterations=0, seed=4), ctx)
+    assert np.all(state.p_best_fit == math.inf) and state.g_best_fit == math.inf
+    assert np.array_equal(state.p_best_pos, state.positions)
+    assert np.array_equal(state.g_best_pos, state.positions[0])
+    assert {e.iteration for e in state.archive.values()} == {0}
+
+
 def test_step_zero_phi_keeps_positions():
     ctx = _ctx(num_clusters=3, num_tiles=3)
     cfg = PsoConfig(n_particles=6, max_iterations=5, seed=2, phi1=0.0, phi2=0.0)
@@ -756,27 +771,26 @@ def test_extract_pareto_keeps_objective_ties():
     assert front.points[0].mapping.assignment == (0, 1)
 
 
-def test_extract_pareto_matches_quadratic_oracle():
-    rng = np.random.default_rng(99)
-    for _ in range(20):
-        entries = [
-            _entry([i], float(t), float(a))
-            for i, (t, a) in enumerate(
-                zip(rng.integers(0, 8, 100) / 4.0, rng.integers(0, 8, 100) / 4.0)
-            )
-        ]
-        got = {(p.tau, p.aging, p.mapping.assignment)
-               for p in extract_pareto(entries).points}
-        want = set()
-        for e in entries:
-            dominated = any(
-                (o.tau <= e.tau and o.aging <= e.aging
-                 and (o.tau < e.tau or o.aging < e.aging))
-                for o in entries
-            )
-            if not dominated:
-                want.add((e.tau, e.aging, e.assignment))
-        assert got == want
+# Few distinct values, so that duplicate (tau, aging) pairs and equal-tau
+# groups are common; tau = 0 and inf aging included.
+_TAUS = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1e3))
+_AGINGS = st.one_of(st.sampled_from([0.0, 0.5, 1.0, math.inf]), st.floats(0.0, 1e3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 99), _TAUS, _AGINGS), min_size=1, max_size=40,
+                unique_by=lambda x: x[0]))
+@example([(0, 1.0, math.inf), (1, 2.0, math.inf), (2, 1.0, math.inf)])
+@example([(5, 0.0, 1.0), (3, 0.0, 1.0), (4, 0.5, 1.0), (1, 0.5, 0.5), (2, 0.5, 0.5)])
+def test_extract_pareto_matches_quadratic_oracle(items):
+    entries = [_entry([i], tau, aging) for i, tau, aging in items]
+    want = sorted(
+        (e.tau, e.aging, e.assignment) for e in entries
+        if not any(o.tau <= e.tau and o.aging <= e.aging
+                   and (o.tau < e.tau or o.aging < e.aging) for o in entries)
+    )
+    got = [(p.tau, p.aging, p.mapping.assignment) for p in extract_pareto(entries).points]
+    assert got == want
 
 
 def test_extract_pareto_sorted_by_tau():
