@@ -54,7 +54,16 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_GUARD = 4
 
-SWEEP_AXES = ("temperature", "device_kind", "num_tiles")
+# Each sweep axis: the parser of one --values item, and the hardware variant
+# that value gives.
+_AXES = {
+    "temperature": (float, lambda hw, v: replace(hw, temperature=v)),
+    "device_kind": (str, lambda hw, v: replace(hw, device_profile=DeviceProfile(
+        kind=v, spike_pulse_width=hw.device_profile.spike_pulse_width))),
+    # An explicit mesh only fits the original tile count; re-derive.
+    "num_tiles": (int, lambda hw, v: replace(hw, num_tiles=v, mesh=None)),
+}
+SWEEP_AXES = tuple(_AXES)
 
 
 def _sanitize(obj):
@@ -106,11 +115,39 @@ def _ratio(x: float, base: float) -> float:
     return x / base
 
 
+def _relative_rows(cfg: RunConfig, results) -> list[list]:
+    """(key..., tau, aging) rows as (key..., tau, aging, mttf, then tau, aging
+    and mttf each relative to the first row)."""
+    window, beta = cfg.workload.snn.workload_window, cfg.aging.tddb.beta
+    rows = [[*key, float(tau), float(aging), float(mttf_from_aging(aging, window, beta))]
+            for *key, tau, aging in results]
+    base = rows[0][-3:]
+    return [row + [float(_ratio(x, b)) for x, b in zip(row[-3:], base)] for row in rows]
+
+
+def _write_plot_data(args, out_dir: Path, series) -> None:
+    """With --plot-data, write plot_data.csv in long form: one row per metric
+    of each (group, label, metrics, values) in series."""
+    if args.plot_data:
+        _write_csv(out_dir / "plot_data.csv", ["group", "label", "metric", "value"],
+                   [[group, label, metric, value] for group, label, metrics, values in series
+                    for metric, value in zip(metrics, values)])
+
+
 def _run_pso(cfg: RunConfig, seed: int | None, hw: HardwareConfig,
              objective: str = "lambda") -> tuple[EvalContext, OptimizeResult]:
+    _require_feasible(cfg.workload, hw)
     ctx = EvalContext(cfg.workload, hw, cfg.aging, cfg.perf, objective=objective)
     res = optimize(cfg.workload.snn, hw, cfg.pso_with_seed(seed), ctx)
     return ctx, res
+
+
+def _search(cfg: RunConfig, seed: int | None, hw: HardwareConfig):
+    """The joint swarm run, the mapping select_final picks from its front,
+    and that mapping's evaluation."""
+    ctx, res = _run_pso(cfg, seed, hw)
+    selected = select_final(res.front, cfg.epsilon)
+    return ctx, res, selected, ctx.evaluate(selected)
 
 
 def cmd_calibrate(args, cfg: RunConfig, out_dir: Path) -> int:
@@ -135,12 +172,8 @@ def cmd_calibrate(args, cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_map(args, cfg: RunConfig, out_dir: Path) -> int:
-    workload, hw = cfg.workload, cfg.hardware
-    _require_feasible(workload, hw)
-    ctx, res = _run_pso(cfg, args.seed, hw)
-    selected = select_final(res.front, cfg.epsilon)
-    ev = ctx.evaluate(selected)
-    report = evaluate_hardware_aging(workload, selected, hw, cfg.aging)
+    _, res, selected, ev = _search(cfg, args.seed, cfg.hardware)
+    report = evaluate_hardware_aging(cfg.workload, selected, cfg.hardware, cfg.aging)
 
     _write_json(out_dir / "mapping.json", {
         "assignment": list(selected.assignment),
@@ -190,12 +223,8 @@ def cmd_map(args, cfg: RunConfig, out_dir: Path) -> int:
             "lambda": res.evaluation.lam,
         },
     })
-    if args.plot_data:
-        rows = []
-        for i, (a, t, g) in enumerate(front_points):
-            rows.append(["front", str(i), "tau", t])
-            rows.append(["front", str(i), "aging", g])
-        _write_csv(out_dir / "plot_data.csv", ["group", "label", "metric", "value"], rows)
+    _write_plot_data(args, out_dir, [("front", str(i), ("tau", "aging"), (t, g))
+                                     for i, (_, t, g) in enumerate(front_points)])
     print(f"selected mapping {list(selected.assignment)} "
           f"(tau {ev.tau:.6e} s, aging {ev.aging:.6e}, mttf {report.mttf:.6e} s)")
     print(f"front has {len(res.front.points)} point(s); "
@@ -208,89 +237,48 @@ def _parse_axis_values(axis: str, text: str) -> list:
     items = [s.strip() for s in text.split(",") if s.strip()]
     if not items:
         raise ConfigError("--values: expected a comma separated, non-empty list")
+    parse = _AXES[axis][0]
     try:
-        if axis == "temperature":
-            return [float(s) for s in items]
-        if axis == "num_tiles":
-            return [int(s) for s in items]
+        return [parse(s) for s in items]
     except ValueError as e:
         raise ConfigError(f"--values: {e}") from e
-    return items  # device_kind: validated when the profile is built
 
 
-def _hardware_variant(hw: HardwareConfig, axis: str, value) -> HardwareConfig:
+def _hardware_variant(cfg: RunConfig, axis: str, value) -> HardwareConfig:
+    """cfg's hardware with axis set to value, its wear rates checked."""
     try:
-        if axis == "temperature":
-            return replace(hw, temperature=value)
-        if axis == "num_tiles":
-            # An explicit mesh only fits the original tile count; re-derive.
-            return replace(hw, num_tiles=value, mesh=None)
-        profile = DeviceProfile(kind=value,
-                                spike_pulse_width=hw.device_profile.spike_pulse_width)
-        return replace(hw, device_profile=profile)
-    except ValueError as e:
+        hw = _AXES[axis][1](cfg.hardware, value)
+        check_wear_rates(cfg.aging, hw)
+    except ValueError as e:  # ConfigError included
         raise ConfigError(f"--values: {e}") from e
+    return hw
 
 
 def cmd_sweep(args, cfg: RunConfig, out_dir: Path) -> int:
-    values = _parse_axis_values(args.axis, args.values)
-    workload = cfg.workload
-    beta = cfg.aging.tddb.beta
-    window = workload.snn.workload_window
     results = []
-    for value in values:
-        hw = _hardware_variant(cfg.hardware, args.axis, value)
-        try:
-            check_wear_rates(cfg.aging, hw)
-        except ConfigError as e:
-            raise ConfigError(f"--values: {e}") from e
-        _require_feasible(workload, hw)
-        ctx, res = _run_pso(cfg, args.seed, hw)
-        selected = select_final(res.front, cfg.epsilon)
-        ev = ctx.evaluate(selected)
-        results.append((value, ev.tau, ev.aging, mttf_from_aging(ev.aging, window, beta)))
-
-    _, tau0, aging0, mttf0 = results[0]
-    rows = [
-        [value, float(tau), float(aging), float(mttf),
-         float(_ratio(tau, tau0)), float(_ratio(aging, aging0)), float(_ratio(mttf, mttf0))]
-        for value, tau, aging, mttf in results
-    ]
-    _write_csv(out_dir / "sweep.csv",
-               ["axis", "value", "tau", "aging", "mttf", "tau_norm", "aging_norm",
-                "mttf_norm"],
-               [[args.axis] + r for r in rows])
-    if args.plot_data:
-        prows = []
-        for value, tau, aging, mttf in results:
-            prows.append([args.axis, str(value), "tau_norm", float(_ratio(tau, tau0))])
-            prows.append([args.axis, str(value), "aging_norm", float(_ratio(aging, aging0))])
-            prows.append([args.axis, str(value), "mttf_norm", float(_ratio(mttf, mttf0))])
-        _write_csv(out_dir / "plot_data.csv", ["group", "label", "metric", "value"], prows)
-    for value, tau, aging, mttf in results:
-        print(f"{args.axis}={value}: tau {tau:.6e} s, aging {aging:.6e}, mttf {mttf:.6e} s")
+    for value in _parse_axis_values(args.axis, args.values):
+        *_, ev = _search(cfg, args.seed, _hardware_variant(cfg, args.axis, value))
+        results.append((args.axis, value, ev.tau, ev.aging))
+    header = ["axis", "value", "tau", "aging", "mttf", "tau_norm", "aging_norm", "mttf_norm"]
+    rows = _relative_rows(cfg, results)
+    _write_csv(out_dir / "sweep.csv", header, rows)
+    _write_plot_data(args, out_dir, [(r[0], str(r[1]), header[-3:], r[-3:]) for r in rows])
+    for axis, value, tau, aging, mttf, *_ in rows:
+        print(f"{axis}={value}: tau {tau:.6e} s, aging {aging:.6e}, mttf {mttf:.6e} s")
     print(f"wrote {out_dir / 'sweep.csv'}")
     return EXIT_OK
 
 
 def cmd_compare(args, cfg: RunConfig, out_dir: Path) -> int:
-    workload, hw = cfg.workload, cfg.hardware
-    _require_feasible(workload, hw)
-    beta = cfg.aging.tddb.beta
-    window = workload.snn.workload_window
-    pso = cfg.pso_with_seed(args.seed)
-
-    ctx_joint, res_joint = _run_pso(cfg, args.seed, hw, objective="lambda")
-    sel_joint = select_final(res_joint.front, cfg.epsilon)
-    ev_joint = ctx_joint.evaluate(sel_joint)
-
+    hw = cfg.hardware
+    ctx_joint, _, sel_joint, ev_joint = _search(cfg, args.seed, hw)
     _, res_perf = _run_pso(cfg, args.seed, hw, objective="tau")
     ev_perf = res_perf.evaluation
 
     # Random baseline: repaired uniform-random corners, one shared stream.
     # Medians are taken per metric, so the row is not one single mapping.
-    rng = np.random.default_rng(pso.seed)
-    num_clusters = len(workload.snn.clusters)
+    rng = np.random.default_rng(cfg.pso_with_seed(args.seed).seed)
+    num_clusters = len(cfg.workload.snn.clusters)
     assignments = []
     for _ in range(cfg.n_random):
         bits = rng.integers(0, 2, size=(num_clusters, hw.num_tiles))
@@ -300,29 +288,15 @@ def cmd_compare(args, cfg: RunConfig, out_dir: Path) -> int:
     rand_tau = statistics.median(s.tau for s in samples)
     rand_aging = statistics.median(s.aging for s in samples)
 
-    strategies = [
+    header = ["strategy", "assignment", "tau", "aging", "mttf", "tau_ratio", "aging_ratio",
+              "mttf_ratio"]
+    rows = _relative_rows(cfg, [
         ("joint_pso", _astr(sel_joint.assignment), ev_joint.tau, ev_joint.aging),
         ("perf_only", _astr(res_perf.mapping.assignment), ev_perf.tau, ev_perf.aging),
         ("random", "", rand_tau, rand_aging),
-    ]
-    base_tau, base_aging = ev_joint.tau, ev_joint.aging
-    base_mttf = mttf_from_aging(base_aging, window, beta)
-    rows = []
-    for name, assignment, tau, aging in strategies:
-        mttf = mttf_from_aging(aging, window, beta)
-        rows.append([name, assignment, float(tau), float(aging), float(mttf),
-                     float(_ratio(tau, base_tau)), float(_ratio(aging, base_aging)),
-                     float(_ratio(mttf, base_mttf))])
-    _write_csv(out_dir / "compare.csv",
-               ["strategy", "assignment", "tau", "aging", "mttf", "tau_ratio",
-                "aging_ratio", "mttf_ratio"],
-               rows)
-    if args.plot_data:
-        prows = []
-        for row in rows:
-            for metric, val in zip(("tau_ratio", "aging_ratio", "mttf_ratio"), row[5:8]):
-                prows.append(["compare", row[0], metric, val])
-        _write_csv(out_dir / "plot_data.csv", ["group", "label", "metric", "value"], prows)
+    ])
+    _write_csv(out_dir / "compare.csv", header, rows)
+    _write_plot_data(args, out_dir, [("compare", r[0], header[-3:], r[-3:]) for r in rows])
     for row in rows:
         print(f"{row[0]}: tau {row[2]:.6e} s, aging {row[3]:.6e}, mttf {row[4]:.6e} s "
               f"(aging ratio {row[6]:.4f})")
@@ -332,7 +306,6 @@ def cmd_compare(args, cfg: RunConfig, out_dir: Path) -> int:
 
 def cmd_verify(args, cfg: RunConfig, out_dir: Path) -> int:
     workload, hw = cfg.workload, cfg.hardware
-    _require_feasible(workload, hw)
     ctx, res = _run_pso(cfg, args.seed, hw)
     best = brute_force_optimum(workload.snn, hw, ctx)
     oracle_front = brute_force_pareto(workload.snn, hw, ctx)
@@ -401,24 +374,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("map", help="optimize a mapping and write mapping, "
                                     "archive, front, and summary files")
     common(sp)
-    sp.add_argument("--plot-data", action="store_true",
-                    help="also write plot_data.csv in long form")
     sp = sub.add_parser("sweep", help="re-run the mapping across one hardware axis")
     common(sp)
     sp.add_argument("--axis", required=True, choices=list(SWEEP_AXES))
     sp.add_argument("--values", required=True,
                     help="comma separated values for the chosen axis")
-    sp.add_argument("--plot-data", action="store_true",
-                    help="also write plot_data.csv in long form")
     sp = sub.add_parser("compare",
                         help="compare joint optimization against time-only and "
                              "random mapping baselines")
     common(sp)
-    sp.add_argument("--plot-data", action="store_true",
-                    help="also write plot_data.csv in long form")
     sp = sub.add_parser("verify",
                         help="check the swarm result against brute-force enumeration")
     common(sp)
+    for name in ("map", "sweep", "compare"):
+        sub.choices[name].add_argument("--plot-data", action="store_true",
+                                       help="also write plot_data.csv in long form")
     return parser
 
 
@@ -428,8 +398,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_run_config(args.config)
         out_dir = Path(args.output or cfg.output or "wearmap_out")
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "config.yaml").write_text(cfg.raw_text, encoding="utf-8")
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            (out_dir / "config.yaml").write_text(cfg.raw_text, encoding="utf-8")
+        except OSError as e:
+            raise ConfigError(f"cannot write output directory {str(out_dir)!r}: {e}") from e
         code = _COMMANDS[args.command](args, cfg, out_dir)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -101,6 +101,15 @@ def _number_list(val, path: str) -> list[float]:
     return [_number(x, f"{path}[{i}]") for i, x in enumerate(val)]
 
 
+def _rate(val, path: str) -> float | list[float]:
+    """A number, or a non-empty list of numbers (one per cluster)."""
+    if isinstance(val, list):
+        return _number_list(val, path)
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ConfigError(f"{path}: expected a number or list of numbers")
+    return _number(val, path)
+
+
 def _build(ctor, kwargs: dict, path: str):
     try:
         return ctor(**kwargs)
@@ -159,36 +168,15 @@ _parse_pso = _section(PsoConfig, {
 })
 
 
+_SHAPE_KINDS = {"num_clusters": int, "neurons_per_cluster": int, "synapses_per_cluster": int,
+                "kind": str, "edge_prob": float}
+
+
 def _parse_poisson_workload(node, path: str) -> Workload:
-    d = _mapping(node, path)
-    _check_keys(
-        d,
-        {"num_clusters", "neurons_per_cluster", "synapses_per_cluster", "kind",
-         "edge_prob", "rate", "window", "seed"},
-        path,
-    )
-    shape_kwargs = {"num_clusters": _get(d, "num_clusters", path, int)}
-    for key, kind in (("neurons_per_cluster", int), ("synapses_per_cluster", int),
-                      ("kind", str), ("edge_prob", float)):
-        val = _get(d, key, path, kind, default=None)
-        if val is not None:
-            shape_kwargs[key] = val
-    shape = _build(WorkloadShape, shape_kwargs, path)
-    if "rate" not in d:
-        raise ConfigError(f"{path}.rate: required field missing")
-    rate = d["rate"]
-    if isinstance(rate, list):
-        rate = _number_list(rate, f"{path}.rate")
-    elif isinstance(rate, bool) or not isinstance(rate, (int, float)):
-        raise ConfigError(f"{path}.rate: expected a number or list of numbers")
-    else:
-        rate = _number(rate, f"{path}.rate")
-    window = _get(d, "window", path, float)
-    seed = _get(d, "seed", path, int)
-    try:
-        return generate_poisson_workload(shape, rate, window, seed)
-    except ValueError as e:
-        raise ConfigError(f"{path}: {e}") from e
+    kwargs = _fields(node, path, {**_SHAPE_KINDS, "rate": _rate, "window": float, "seed": int},
+                     required=("num_clusters", "rate", "window", "seed"))
+    shape = _build(WorkloadShape, {k: kwargs.pop(k) for k in _SHAPE_KINDS if k in kwargs}, path)
+    return _build(generate_poisson_workload, {"snn_shape": shape, **kwargs}, path)
 
 
 _CLUSTER_KINDS = {"id": str, "neuron_count": int, "synapse_count": int}
@@ -198,20 +186,17 @@ _parse_edge = _section(Edge, _EDGE_KINDS, required=_EDGE_KINDS)
 
 
 def _parse_inline_workload(node, path: str) -> Workload:
-    d = _mapping(node, path)
-    _check_keys(d, {"window", "clusters", "edges", "trains"}, path)
-    window = _get(d, "window", path, float)
-
+    d = _fields(node, path, {"window": float, "clusters": list, "edges": list, "trains": dict},
+                required=("window", "clusters", "trains"))
     clusters = [_parse_cluster(c, f"{path}.clusters[{i}]")
-                for i, c in enumerate(_get(d, "clusters", path, list))]
-    edges = [_parse_edge(e, f"{path}.edges[{i}]")
-             for i, e in enumerate(_get(d, "edges", path, list, default=[]))]
+                for i, c in enumerate(d["clusters"])]
+    edges = [_parse_edge(e, f"{path}.edges[{i}]") for i, e in enumerate(d.get("edges", []))]
 
     snn = _build(ClusteredSnn,
-                 {"clusters": clusters, "edges": edges, "workload_window": window},
+                 {"clusters": clusters, "edges": edges, "workload_window": d["window"]},
                  f"{path}.window")
 
-    trains_node = _get(d, "trains", path, dict)
+    trains_node = d["trains"]
     cluster_ids = [c.id for c in clusters]
     extra = sorted(set(trains_node) - set(cluster_ids))
     if extra:

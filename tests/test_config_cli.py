@@ -1,9 +1,11 @@
 """Config schema validation and CLI behavior: exit codes, files, determinism."""
 
 import copy
+import hashlib
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 import yaml
@@ -733,3 +735,99 @@ def test_cli_verify_mismatch_exits_1(tmp_path, capsys):
     assert payload["optimum_match"] is False
     assert payload["pso"]["lambda"] > payload["oracle"]["lambda"]
     assert "MISMATCH" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------- output bytes
+
+
+_BASELINE = Path(__file__).resolve().parents[1] / "configs" / "baseline.yaml"
+
+# SHA-256 of every JSON/CSV file each command writes on baseline.yaml with
+# --seed 5, recorded before the commands were folded into one pipeline.
+_GOLDEN = {
+    ("map", "--plot-data"): {
+        "archive.csv": "4e1621307a8034d0dcda73c5041ceab405275d63127a98f58d990b35ae37779f",
+        "front.csv": "6a9aec2a2996164e5975262cdc43605c0765ff770db5dae68df2308997adac55",
+        "front.json": "beaad8df47d78c044dc57cc4b70f4d8496e980e32df126729116dbfef494a121",
+        "mapping.json": "7bbfea2df4c4ed4c3bbcc30ba1cc14a5ef59cc8a63f6bf2e637ecd238cf63e34",
+        "plot_data.csv": "c01ea1a49c27ddf47d1a027ef0110c8aa074e57c7678f4bf687a29163639a91c",
+        "report.csv": "2a9df8e3bd58a4e290ec9640545b660458ff39ecfb982f9a47c725d7dd977584",
+        "summary.json": "7f558ef21da502df62e8d61f4e999717aee7b6d350d7f4a3b17642c549fee876",
+    },
+    ("compare", "--plot-data"): {
+        "compare.csv": "945e052ab2fa5031e9bc052a4fea874e273964401c41e919009d5453b318f4b7",
+        "plot_data.csv": "47733f981fe8d5f06bddeb561da8aa3e8c9117b15fa2b10f9697d8d18b24d560",
+    },
+    ("sweep", "--axis", "temperature", "--values", "300,330,360", "--plot-data"): {
+        "plot_data.csv": "81beba485f0cf6375626d0ed98bcdb560f32ea360ed06e1f1b823897654c1556",
+        "sweep.csv": "7fec2fb6225d8c2735c779229efcd2d80c55274eccdefd26a53949fcc6660814",
+    },
+    ("sweep", "--axis", "device_kind", "--values", "diode_1D1R,transistor_1T1R",
+     "--plot-data"): {
+        "plot_data.csv": "ea35a90c09a49491c1e78e59ded6ca10924b172cc6637d86821f899c0cf24fea",
+        "sweep.csv": "b3be41166219b052ebb6c137c6ec7ca5b738c5f40c7493541da6cb1dd291553b",
+    },
+    ("sweep", "--axis", "num_tiles", "--values", "4,6", "--plot-data"): {
+        "plot_data.csv": "a9aeb3cbd4006bb690b39d6bedc44fbcffd52fc0fbd1eb280b3a94b98303e505",
+        "sweep.csv": "25761711f7482afcb1bde08b6614969c40edbc4ec2e22353dbafe2ec6a53f4d4",
+    },
+    ("verify",): {
+        "verify.json": "b24790d3f83724215e3da3d6ede0bf4f62d24230526fa4922863f3a7b6f93138",
+    },
+    ("calibrate",): {
+        "calibrated_params.json":
+            "78186a95bf153ca0fd2c488b8c93ebee6f8734c75869bd61adcdc1f69e1ac8f4",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(_GOLDEN), ids=lambda a: "-".join(a[:3:2]))
+def test_cli_outputs_match_golden(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    cmd, *extra = argv
+    assert main([cmd, "--config", str(_BASELINE), "--output", str(out),
+                 "--seed", "5", *extra]) == 0
+    capsys.readouterr()
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.iterdir() if p.suffix in (".json", ".csv")}
+    assert digests == _GOLDEN[argv]
+
+
+def test_cli_sweep_plot_data_matches_norm_columns(tmp_path):
+    p = _write(tmp_path, BASE)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(p), "--output", str(out),
+                 "--axis", "temperature", "--values", "300,325,350", "--plot-data"]) == 0
+    lines = (out / "plot_data.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "group,label,metric,value"
+    plot = [line.split(",") for line in lines[1:]]
+    expect = []
+    for row in (line.split(",") for line in
+                (out / "sweep.csv").read_text(encoding="utf-8").splitlines()[1:]):
+        for metric, value in zip(("tau_norm", "aging_norm", "mttf_norm"), row[5:8]):
+            expect.append([row[0], row[1], metric, value])
+    assert len(plot) == 3 * 3
+    assert plot == expect
+
+
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("where", ["file", "below_file", "echo"])
+def test_cli_unusable_output_dir_exits_2(tmp_path, capsys, via_config, where):
+    # The output path is an existing file, lies below one, or is a directory
+    # whose config.yaml cannot be written (it is a directory itself).
+    blocker = tmp_path / "blocker"
+    if where == "echo":
+        (blocker / "config.yaml").mkdir(parents=True)
+    else:
+        blocker.write_text("not a directory\n", encoding="utf-8")
+    out = blocker / "out" if where == "below_file" else blocker
+    if via_config:
+        p = _write(tmp_path, f"output: {json.dumps(str(out))}\n" + BASE)
+        argv = ["map", "--config", str(p)]
+    else:
+        argv = ["map", "--config", str(_write(tmp_path, BASE)), "--output", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(str(out)) in err
+    if where != "echo":
+        assert blocker.read_text(encoding="utf-8") == "not a directory\n"
