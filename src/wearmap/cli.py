@@ -285,8 +285,8 @@ def cmd_compare(args, cfg: RunConfig, out_dir: Path) -> int:
         pref = rng.random((num_clusters, hw.num_tiles))
         assignments.append(repair(bits, hw, rng, pref=pref).assignment)
     samples = ctx_joint.evaluate_rows(np.array(assignments))
-    rand_tau = statistics.median(s.tau for s in samples)
-    rand_aging = statistics.median(s.aging for s in samples)
+    rand_tau = statistics.median(samples.tau.tolist())
+    rand_aging = statistics.median(samples.aging.tolist())
 
     header = ["strategy", "assignment", "tau", "aging", "mttf", "tau_ratio", "aging_ratio",
               "mttf_ratio"]
@@ -401,9 +401,11 @@ def main(argv: list[str] | None = None) -> int:
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
             (out_dir / "config.yaml").write_text(cfg.raw_text, encoding="utf-8")
-        except OSError as e:
+            code = _COMMANDS[args.command](args, cfg, out_dir)
+            wall = time.perf_counter() - t0
+            (out_dir / "wall_time.txt").write_text(f"{wall:.6f}\n", encoding="utf-8")
+        except OSError as e:  # the commands read no files; this is a write
             raise ConfigError(f"cannot write output directory {str(out_dir)!r}: {e}") from e
-        code = _COMMANDS[args.command](args, cfg, out_dir)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
@@ -413,8 +415,6 @@ def main(argv: list[str] | None = None) -> int:
     except GuardExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_GUARD
-    wall = time.perf_counter() - t0
-    (out_dir / "wall_time.txt").write_text(f"{wall:.6f}\n", encoding="utf-8")
     print(f"wall time: {wall:.3f} s")
     return code
 

@@ -1,10 +1,10 @@
 """Exhaustive ground truth for small mapping instances.
 
 Every feasible assignment is held as one row of an (N, C) integer array, in
-lexicographic order, and tau, aging and lambda are computed for blocks of
-rows at once through the swarm's own evaluator: perf.execution_times for tau,
-EvalContext.worst_tile_agings for aging and swarm.lambdas for lambda. The
-values are therefore bit-identical to EvalContext.evaluate on each mapping.
+lexicographic order, and its tau, aging and lambda columns come from the
+swarm's own batch evaluator, EvalContext.evaluate_rows, on blocks of rows.
+They are bit-identical to EvalContext.evaluate on each mapping, and the
+optimum's evaluation is read from them, not computed again.
 
 Everything here is deliberately independent of the swarm's search: the
 optimum is the first argmin over the full table, and the Pareto filter is the
@@ -22,8 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from .model import ClusteredSnn, HardwareConfig, Mapping
-from .perf import execution_times
-from .swarm import EvalContext, Evaluation, FrontPoint, InfeasibleError, ParetoFront, lambdas
+from .swarm import EvalContext, Evaluation, FrontPoint, InfeasibleError, ParetoFront
 
 ENUMERATION_GUARD = 10 ** 6
 # Cells per block of the (tile, mapping) arrays and of the dominance filter's
@@ -96,19 +95,16 @@ def enumerate_mappings(snn: ClusteredSnn, hw: HardwareConfig) -> Iterator[Mappin
 
 def _objective_table(
     snn: ClusteredSnn, hw: HardwareConfig, ctx: EvalContext
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, tau, aging) over every feasible mapping. NaN objectives are
-    refused, as extract_pareto refuses them: they have no order."""
+) -> tuple[np.ndarray, Evaluation]:
+    """Every feasible mapping's row and its evaluation columns. NaN objectives
+    are refused, as extract_pareto refuses them: they have no order."""
     rows = _assignment_table(snn, hw)
     step = max(1, _BLOCK_CELLS // ctx.hw.num_tiles)
-    blocks = [rows[i:i + step] for i in range(0, rows.shape[0], step)]
-    tau = np.concatenate([
-        execution_times(b, ctx.workload.snn, ctx.hw, ctx.perf_params) for b in blocks
-    ])
-    aging = np.concatenate([ctx.worst_tile_agings(b) for b in blocks])
-    if np.isnan(tau).any() or np.isnan(aging).any():
+    blocks = [ctx.evaluate_rows(rows[i:i + step]) for i in range(0, rows.shape[0], step)]
+    ev = Evaluation(*(np.concatenate(column) for column in zip(*blocks)))
+    if np.isnan(ev.tau).any() or np.isnan(ev.aging).any():
         raise ValueError("an objective evaluates to NaN")
-    return rows, tau, aging
+    return rows, ev
 
 
 @dataclass(frozen=True)
@@ -121,9 +117,10 @@ def brute_force_optimum(
     snn: ClusteredSnn, hw: HardwareConfig, ctx: EvalContext
 ) -> BruteForceOptimum:
     """Exact argmin of lambda over the feasible set; lexicographic first on ties."""
-    rows, tau, aging = _objective_table(snn, hw, ctx)
-    best = Mapping(rows[int(np.argmin(lambdas(tau, aging)))].tolist())
-    return BruteForceOptimum(mapping=best, evaluation=ctx.evaluate(best))
+    rows, ev = _objective_table(snn, hw, ctx)
+    i = int(np.argmin(ev.lam))
+    return BruteForceOptimum(mapping=Mapping(rows[i].tolist()),
+                             evaluation=Evaluation._make(c[i].item() for c in ev))
 
 
 def _non_dominated(tau: np.ndarray, aging: np.ndarray) -> np.ndarray:
@@ -153,7 +150,7 @@ def brute_force_pareto(
 ) -> ParetoFront:
     """Exact non-dominated set over all feasible mappings, by the quadratic
     dominance filter (kept separate from the swarm's sweep on purpose)."""
-    rows, tau, aging = _objective_table(snn, hw, ctx)
+    rows, (tau, aging, _) = _objective_table(snn, hw, ctx)
     # Stable sort: equal pairs keep row order, which is assignment order.
     order = np.lexsort((aging, tau))
     tau, aging = tau[order], aging[order]

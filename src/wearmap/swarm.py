@@ -7,20 +7,20 @@ and global bests, stochastically binarizes through a sigmoid of the velocity,
 and repairs the resulting matrix back into the feasible set. The scalar being
 minimized is lambda = tau * aging, taken as 0 when tau is 0 (or tau alone
 when the context selects the time-only objective). Every feasible evaluation
-lands in an archive, the only store of evaluations, from which the
-(tau, aging) Pareto front is extracted afterwards.
+lands in an archive, the only store of evaluations: the (tau, aging) Pareto
+front and the best mapping's evaluation are both read from it afterwards.
 
 A step works on the whole swarm at once: one sigmoid of the (n_p, C, T)
 velocity, which feeds both the bit draw (the one binarize also makes) and
 repair's preference, and one repair_rows over all particles. One update then
-evaluates the repaired rows with one EvalContext.evaluate_rows, archives
-them and updates the bests; initialization is that same update applied to
-the random starting corners as iteration 0. Tau comes from
-perf.execution_times and aging from EvalContext.worst_tile_agings, the one
-worst-tile aging path; the exhaustive oracle calls both on its row blocks,
-and evaluate is their validated one-mapping case. Python loops over
-particles only for the overloaded rows repair has to move and for the
-archive and best updates; the improved personal-best corners are written in
+evaluates the repaired rows with one EvalContext.evaluate_rows, the batch
+evaluator the oracle also calls, which returns float64 columns of tau
+(perf.execution_times), aging (worst_tile_agings, the one worst-tile aging
+path) and lambda; it archives them and updates the personal bests in one
+comparison. Initialization is that same update applied to the random
+starting corners as iteration 0, and evaluate is the validated one-mapping
+case. Python loops over particles only for the overloaded rows repair has to
+move and for the archive; the improved personal-best corners are written in
 one scatter. The front is one sweep over the archive sorted by (tau, aging).
 
 All randomness flows from one seeded generator, and best-updates reduce in
@@ -45,7 +45,7 @@ class InfeasibleError(RuntimeError):
 
 
 class Evaluation(NamedTuple):
-    tau: float
+    tau: float  # each field a float64 column when evaluate_rows returns it
     aging: float
     lam: float
 
@@ -131,28 +131,21 @@ class EvalContext:
                            for lo, hi in zip(bounds[:-1], bounds[1:])])
         return agings[rank].reshape(self.hw.num_tiles, n).max(axis=0)
 
-    def _evaluations(self, rows: np.ndarray, tau: np.ndarray) -> list[Evaluation]:
-        aging = self.worst_tile_agings(rows)
-        return list(map(Evaluation._make, zip(
-            tau.tolist(), aging.tolist(), lambdas(tau, aging).tolist())))
-
     def evaluate(self, mapping: Mapping) -> Evaluation:
         """Evaluation of one mapping, validated against the instance first;
         the n = 1 case of evaluate_rows."""
         tau = execution_time(self.workload.snn, mapping, self.hw, self.perf_params)
-        return self._evaluations(np.asarray([mapping.assignment]), np.array([tau]))[0]
+        aging = self.worst_tile_agings(np.asarray([mapping.assignment]))
+        return Evaluation(tau, aging.item(), lambdas(tau, aging).item())
 
-    def evaluate_rows(self, rows: np.ndarray) -> list[Evaluation]:
+    def evaluate_rows(self, rows: np.ndarray) -> Evaluation:
         """evaluate for every row of an (n, C) array of feasible assignments,
-        such as repair_rows returns; the rows are not validated again. Tau
-        comes from one execution_times call and aging from one
-        worst_tile_agings call."""
-        rows = np.asarray(rows, dtype=np.int64)
+        such as repair_rows returns, as float64 columns of length n; the rows
+        are not validated again. Tau comes from one execution_times call and
+        aging from one worst_tile_agings call."""
         tau = execution_times(rows, self.workload.snn, self.hw, self.perf_params)
-        return self._evaluations(rows, tau)
-
-    def objective_value(self, ev: Evaluation) -> float:
-        return ev.lam if self.objective == "lambda" else ev.tau
+        aging = self.worst_tile_agings(rows)
+        return Evaluation(tau, aging, lambdas(tau, aging))
 
 
 @dataclass(frozen=True)
@@ -350,18 +343,14 @@ def _update(state: SwarmState, rows: np.ndarray, ctx: EvalContext) -> None:
     assignment in particle order, update personal bests on strict improvement
     (the improved corners written in one scatter), then the global best: ties
     keep the incumbent, and equal minima resolve to the lowest particle index."""
-    improved = []
-    for i, (assignment, ev) in enumerate(zip(map(tuple, rows.tolist()),
-                                             ctx.evaluate_rows(rows))):
-        if assignment not in state.archive:
-            state.archive[assignment] = ArchiveEntry(assignment, ev.tau, ev.aging, ev.lam,
-                                                     state.iteration)
-        scalar = ctx.objective_value(ev)
-        if scalar < state.p_best_fit[i]:
-            state.p_best_fit[i] = scalar
-            improved.append(i)
-    if improved:
-        state.p_best_pos[improved] = _corners(rows[improved], ctx.hw.num_tiles)
+    ev = ctx.evaluate_rows(rows)
+    for assignment, *values in zip(map(tuple, rows.tolist()), *(c.tolist() for c in ev)):
+        if assignment not in state.archive:  # values: tau, aging, lam
+            state.archive[assignment] = ArchiveEntry(assignment, *values, state.iteration)
+    scalar = ev.lam if ctx.objective == "lambda" else ev.tau
+    improved = scalar < state.p_best_fit
+    state.p_best_fit[improved] = scalar[improved]
+    state.p_best_pos[improved] = _corners(rows[improved], ctx.hw.num_tiles)
     best = int(np.argmin(state.p_best_fit))
     if state.p_best_fit[best] < state.g_best_fit:
         state.g_best_fit = float(state.p_best_fit[best])
@@ -530,10 +519,12 @@ def optimize(
     for _ in range(iters):
         step_swarm(state, resolved, ctx)
     front = extract_pareto(state.archive.values())
-    best = Mapping(state.g_best_pos.reshape(num_clusters, -1).argmax(axis=1).tolist())
+    # g_best is always an evaluated corner, so the archive holds its values.
+    corner = state.g_best_pos.reshape(num_clusters, -1)
+    best = state.archive[tuple(corner.argmax(axis=1).tolist())]
     return OptimizeResult(
-        mapping=best,
-        evaluation=ctx.evaluate(best),
+        mapping=Mapping(best.assignment),
+        evaluation=Evaluation(best.tau, best.aging, best.lam),
         front=front,
         archive=tuple(state.archive.values()),
         iterations=iters,

@@ -811,23 +811,29 @@ def test_cli_sweep_plot_data_matches_norm_columns(tmp_path):
 
 
 @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
-@pytest.mark.parametrize("where", ["file", "below_file", "echo"])
+@pytest.mark.parametrize("where", ["file", "below_file", "echo", "map_data_file",
+                                   "verify_data_file"])
 def test_cli_unusable_output_dir_exits_2(tmp_path, capsys, via_config, where):
     # The output path is an existing file, lies below one, or is a directory
-    # whose config.yaml cannot be written (it is a directory itself).
+    # where config.yaml, or a data file the command writes after its run,
+    # cannot be written (it is a directory itself). verify's own exit 1 means
+    # "swarm missed the optimum", so a write failure must not end in it.
     blocker = tmp_path / "blocker"
-    if where == "echo":
-        (blocker / "config.yaml").mkdir(parents=True)
+    command, blocked = {"echo": ("map", "config.yaml"),
+                        "map_data_file": ("map", "summary.json"),
+                        "verify_data_file": ("verify", "verify.json")}.get(where, ("map", None))
+    if blocked:
+        (blocker / blocked).mkdir(parents=True)
     else:
         blocker.write_text("not a directory\n", encoding="utf-8")
     out = blocker / "out" if where == "below_file" else blocker
     if via_config:
         p = _write(tmp_path, f"output: {json.dumps(str(out))}\n" + BASE)
-        argv = ["map", "--config", str(p)]
+        argv = [command, "--config", str(p)]
     else:
-        argv = ["map", "--config", str(_write(tmp_path, BASE)), "--output", str(out)]
+        argv = [command, "--config", str(_write(tmp_path, BASE)), "--output", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and repr(str(out)) in err
-    if where != "echo":
+    if not blocked:
         assert blocker.read_text(encoding="utf-8") == "not a directory\n"

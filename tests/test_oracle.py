@@ -315,13 +315,21 @@ def _assert_matches_reference(workload, hw, perf=PerfParams()):
     ref_front = _reference_pareto(mappings, ref_ctx)
     # The default blocks hold every small instance whole; 16-cell blocks split
     # both the objective table and the dominance filter into many blocks.
+    # The table goes through evaluate_rows, one call per block, and the
+    # optimum's evaluation is read from it: evaluate is never called.
     for block_cells in (oracle_module._BLOCK_CELLS, 16):
-        with patch.object(oracle_module, "_BLOCK_CELLS", block_cells):
-            rows, tau, aging = _objective_table(snn, hw, ctx)
+        step = max(1, block_cells // hw.num_tiles)
+        with patch.object(oracle_module, "_BLOCK_CELLS", block_cells), \
+                patch.object(ctx, "evaluate", side_effect=AssertionError("evaluate called")), \
+                patch.object(ctx, "evaluate_rows", wraps=ctx.evaluate_rows) as batches:
+            rows, ev = _objective_table(snn, hw, ctx)
+            assert [len(c.args[0]) for c in batches.call_args_list] == [
+                len(mappings[lo:lo + step]) for lo in range(0, len(mappings), step)]
             assert [tuple(r) for r in rows.tolist()] == [m.assignment for m in mappings]
-            assert tau.tolist() == [ev.tau for ev in want]
-            assert aging.tolist() == [ev.aging for ev in want]
-            assert (tau * aging).tolist() == [ev.lam for ev in want]
+            assert all(c.dtype == np.float64 for c in ev)
+            assert ev.tau.tolist() == [e.tau for e in want]
+            assert ev.aging.tolist() == [e.aging for e in want]
+            assert ev.lam.tolist() == [e.lam for e in want]
 
             opt = brute_force_optimum(snn, hw, ctx)
             assert opt.mapping == ref_map

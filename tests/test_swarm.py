@@ -8,6 +8,7 @@ import hashlib
 import itertools
 import math
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -34,10 +35,12 @@ from wearmap.perf import PerfParams, execution_time
 from wearmap.swarm import (
     ArchiveEntry,
     EvalContext,
+    Evaluation,
     FrontPoint,
     InfeasibleError,
     ParetoFront,
     PsoConfig,
+    SwarmState,
     binarize,
     extract_pareto,
     initialize_swarm,
@@ -47,7 +50,7 @@ from wearmap.swarm import (
     select_final,
     step_swarm,
 )
-from wearmap.swarm import _ring_walk, _sigmoid
+from wearmap.swarm import _corners, _ring_walk, _sigmoid, _update
 
 
 def _hw(num_tiles=4, tile_capacity=1, mesh=None):
@@ -148,16 +151,23 @@ def test_evaluate_is_repeatable():
     assert first == again  # nothing is stored per mapping; the value is the same
 
 
+def _per_row(columns):
+    """The Evaluation of each row of evaluate_rows' float64 columns."""
+    assert all(c.dtype == np.float64 and c.shape == columns.tau.shape for c in columns)
+    return [Evaluation(*values) for values in zip(*(c.tolist() for c in columns))]
+
+
 def test_evaluate_rows_matches_evaluate():
     ctx = _ctx(num_clusters=3, num_tiles=3, tile_capacity=2)
     ref = _ctx(num_clusters=3, num_tiles=3, tile_capacity=2)
     rows = np.array([[0, 1, 2], [1, 1, 0], [0, 1, 2], [2, 0, 0]])
-    got = ctx.evaluate_rows(rows)
+    got = _per_row(ctx.evaluate_rows(rows))
     assert got == [ref.evaluate(Mapping(r)) for r in rows.tolist()]
     assert got[0] == got[2]  # a row repeated in one batch
     assert ctx.evaluate(Mapping([1, 1, 0])) == got[1]
-    assert ctx.evaluate_rows(rows[1:2]) == [got[1]]
-    assert ctx.evaluate_rows(np.zeros((0, 3), dtype=np.int64)) == []
+    assert _per_row(ctx.evaluate_rows(rows[1:2])) == [got[1]]
+    empty = ctx.evaluate_rows(np.zeros((0, 3), dtype=np.int64))
+    assert [(c.dtype, c.shape) for c in empty] == [(np.float64, (0,))] * 3
 
 
 def _reference_worst_tile_aging(ctx, assignment):
@@ -597,6 +607,28 @@ def test_step_velocity_clamped():
     assert np.max(np.abs(state.velocities)) <= 0.5 + 1e-15
 
 
+@pytest.mark.parametrize("objective", ["lambda", "tau"])
+def test_update_tie_keeps_personal_best_corner(objective):
+    # A new value equal to the personal best is no improvement, so particle 0
+    # keeps its old corner; particle 1's value is strictly lower and moves it.
+    # The global best ties as well and keeps its incumbent.
+    ctx = _ctx(num_clusters=3, num_tiles=3, objective=objective)
+    rows = np.array([[0, 1, 2], [2, 1, 0]])
+    ev = ctx.evaluate_rows(rows)
+    value = ev.lam if objective == "lambda" else ev.tau
+    old = np.full((2, 9), 0.5)  # no repaired row has this corner
+    state = SwarmState(positions=old.copy(), velocities=np.zeros_like(old),
+                       p_best_pos=old.copy(),
+                       p_best_fit=np.array([value[0], np.nextafter(value[1], np.inf)]),
+                       g_best_pos=old[0].copy(), g_best_fit=float(value.min()),
+                       iteration=1, rng=np.random.default_rng(0))
+    _update(state, rows, ctx)
+    assert state.p_best_fit.tolist() == value.tolist()
+    assert np.array_equal(state.p_best_pos[0], old[0])
+    assert np.array_equal(state.p_best_pos[1], _corners(rows[1:], 3)[0])
+    assert np.array_equal(state.g_best_pos, old[0]) and state.g_best_fit == value.min()
+
+
 def test_g_best_monotone_non_increasing():
     ctx = _ctx(num_clusters=4, num_tiles=2, tile_capacity=2, seed=11)
     cfg = PsoConfig(n_particles=10, max_iterations=30, seed=4)
@@ -637,6 +669,28 @@ def test_optimize_tau_objective():
     res = optimize(ctx.workload.snn, ctx.hw,
                    PsoConfig(n_particles=20, max_iterations=50, seed=1), ctx)
     assert res.evaluation.tau == best_tau
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide")
+@pytest.mark.parametrize("objective", ["lambda", "tau"])
+@pytest.mark.parametrize("case", ["finite", "inf_aging", "zero_tau"])
+def test_optimize_evaluation_is_the_archived_best(objective, case):
+    # optimize reads its best mapping's evaluation from the archive and never
+    # calls evaluate; the value is still what evaluate gives. With inf aging
+    # (alpha ~ 1e-313) every lambda is inf, and with zero latencies every tau
+    # and lambda is 0: no personal best ever improves, and g_best stays
+    # particle 0's starting corner, the archive's first entry.
+    base = _ctx(num_clusters=3, num_tiles=3)
+    aging = AgingParams() if case == "finite" else AgingParams(tddb=TddbParams(gamma=425.0))
+    perf = PerfParams(0.0, 0.0) if case == "zero_tau" else PerfParams()
+    ctx, ref = (EvalContext(base.workload, base.hw, aging, perf, objective=objective)
+                for _ in range(2))
+    cfg = PsoConfig(n_particles=6, max_iterations=4, seed=4)
+    with patch.object(ctx, "evaluate", side_effect=AssertionError("evaluate called")):
+        res = optimize(ctx.workload.snn, ctx.hw, cfg, ctx)
+    assert res.evaluation == ref.evaluate(res.mapping)
+    if case == "zero_tau" or (case == "inf_aging" and objective == "lambda"):
+        assert res.mapping.assignment == res.archive[0].assignment
 
 
 def test_optimize_deterministic():
