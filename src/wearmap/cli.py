@@ -42,11 +42,21 @@ from .model import (
 )
 from .oracle import (
     GuardExceededError,
+    _objective_table,
     brute_force_optimum,
     brute_force_pareto,
     count_feasible_mappings,
 )
-from .swarm import EvalContext, InfeasibleError, OptimizeResult, optimize, repair, select_final
+from .swarm import (
+    EvalContext,
+    Evaluation,
+    InfeasibleError,
+    OptimizeResult,
+    lambdas,
+    optimize,
+    repair,
+    select_final,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_MISMATCH = 1
@@ -144,10 +154,12 @@ def _run_pso(cfg: RunConfig, seed: int | None, hw: HardwareConfig,
 
 def _search(cfg: RunConfig, seed: int | None, hw: HardwareConfig):
     """The joint swarm run, the mapping select_final picks from its front,
-    and that mapping's evaluation."""
+    and that mapping's evaluation, read off its front point."""
     ctx, res = _run_pso(cfg, seed, hw)
     selected = select_final(res.front, cfg.epsilon)
-    return ctx, res, selected, ctx.evaluate(selected)
+    point = next(p for p in res.front.points if p.mapping == selected)
+    lam = lambdas(point.tau, point.aging).item()
+    return ctx, res, selected, Evaluation(point.tau, point.aging, lam)
 
 
 def cmd_calibrate(args, cfg: RunConfig, out_dir: Path) -> int:
@@ -307,8 +319,9 @@ def cmd_compare(args, cfg: RunConfig, out_dir: Path) -> int:
 def cmd_verify(args, cfg: RunConfig, out_dir: Path) -> int:
     workload, hw = cfg.workload, cfg.hardware
     ctx, res = _run_pso(cfg, args.seed, hw)
-    best = brute_force_optimum(workload.snn, hw, ctx)
-    oracle_front = brute_force_pareto(workload.snn, hw, ctx)
+    table = _objective_table(workload.snn, hw, ctx)
+    best = brute_force_optimum(workload.snn, hw, ctx, table=table)
+    oracle_front = brute_force_pareto(workload.snn, hw, ctx, table=table)
 
     optimum_match = res.evaluation.lam == best.evaluation.lam
     pso_pairs = {(p.tau, p.aging) for p in res.front.points}

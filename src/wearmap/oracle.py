@@ -1,16 +1,30 @@
 """Exhaustive ground truth for small mapping instances.
 
 Every feasible assignment is held as one row of an (N, C) integer array, in
-lexicographic order, and its tau, aging and lambda columns come from the
-swarm's own batch evaluator, EvalContext.evaluate_rows, on blocks of rows.
-They are bit-identical to EvalContext.evaluate on each mapping, and the
-optimum's evaluation is read from them, not computed again.
+lexicographic order. Only one row per orbit of the mesh's isometries (the
+reflection of each axis, and the transpose on a square mesh) is evaluated:
+the orbit's lexicographically smallest row, its canonical row. The reduction
+is exact, not approximate, because every member of an orbit has the same
+tau, aging and lambda to the last bit: a tile's aging depends only on the
+cluster set it hosts, never on where the tile sits, and tau is an exact
+integer sum over tile loads and Manhattan hops, which an isometry permutes
+without changing, followed by the same float operations. The enumeration
+guard still counts every feasible mapping, not the orbits.
+
+The canonical rows' tau, aging and lambda columns come from the swarm's own
+batch evaluator, EvalContext.evaluate_rows, on blocks of rows. They are
+bit-identical to EvalContext.evaluate on each mapping, and the optimum's
+evaluation is read from them, not computed again. One table serves both the
+optimum and the front when the caller builds it once and passes it to each.
 
 Everything here is deliberately independent of the swarm's search: the
-optimum is the first argmin over the full table, and the Pareto filter is the
-plain quadratic dominance check, run over the distinct (tau, aging) pairs in
-blocks of bounded memory rather than the swarm's sort-and-sweep. Used to
-validate optimizer output and exposed through the CLI's verify command.
+optimum is the first argmin over the canonical rows, which is the first
+argmin over the full table since that row is the smallest of its orbit. The
+Pareto filter is the plain quadratic dominance check, run over the distinct
+(tau, aging) pairs in blocks of bounded memory rather than the swarm's
+sort-and-sweep; the canonical rows carry every pair the full table has, and
+each kept row is expanded back to its whole orbit. Used to validate optimizer
+output and exposed through the CLI's verify command.
 """
 
 from __future__ import annotations
@@ -93,12 +107,42 @@ def enumerate_mappings(snn: ClusteredSnn, hw: HardwareConfig) -> Iterator[Mappin
     return (Mapping(r) for r in rows.tolist())
 
 
+def _mesh_isometries(hw: HardwareConfig) -> np.ndarray:
+    """(k, T) array of the distinct tile permutations that keep every hop
+    distance of the mesh: the reflections of each axis, and on a square mesh
+    the transpose too (8 on a square, 4 on a rectangle, fewer on a 1xT mesh).
+    Row 0 is the identity, the lexicographically smallest permutation."""
+    width, height = hw.mesh
+    y, x = np.divmod(np.arange(hw.num_tiles), width)
+    ry, rx = height - 1 - y, width - 1 - x
+    maps = [y * width + x, y * width + rx, ry * width + x, ry * width + rx]
+    if width == height:
+        maps += [x * width + y, x * width + ry, rx * width + y, rx * width + ry]
+    return np.unique(np.stack(maps), axis=0)
+
+
+def _orbit_minima(rows: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """The rows that are lexicographically no larger than any of their images
+    under group, one per orbit, in their order in rows. Each non-identity map
+    is tested on the rows still kept: a row survives when its first position
+    that the map changes holds the smaller tile."""
+    kept = rows
+    for perm in group[1:]:
+        image = perm[kept]
+        first = (image != kept).argmax(axis=1)[:, None]
+        # equal rows give first = 0, where both hold the same tile
+        kept = kept[np.take_along_axis(kept, first, axis=1)[:, 0]
+                    <= np.take_along_axis(image, first, axis=1)[:, 0]]
+    return kept
+
+
 def _objective_table(
     snn: ClusteredSnn, hw: HardwareConfig, ctx: EvalContext
 ) -> tuple[np.ndarray, Evaluation]:
-    """Every feasible mapping's row and its evaluation columns. NaN objectives
-    are refused, as extract_pareto refuses them: they have no order."""
-    rows = _assignment_table(snn, hw)
+    """The canonical row of every mesh-symmetry orbit of feasible mappings, in
+    lexicographic order, and its evaluation columns. NaN objectives are
+    refused, as extract_pareto refuses them: they have no order."""
+    rows = _orbit_minima(_assignment_table(snn, hw), _mesh_isometries(hw))
     step = max(1, _BLOCK_CELLS // ctx.hw.num_tiles)
     blocks = [ctx.evaluate_rows(rows[i:i + step]) for i in range(0, rows.shape[0], step)]
     ev = Evaluation(*(np.concatenate(column) for column in zip(*blocks)))
@@ -114,10 +158,12 @@ class BruteForceOptimum:
 
 
 def brute_force_optimum(
-    snn: ClusteredSnn, hw: HardwareConfig, ctx: EvalContext
+    snn: ClusteredSnn, hw: HardwareConfig, ctx: EvalContext,
+    table: tuple[np.ndarray, Evaluation] | None = None,
 ) -> BruteForceOptimum:
-    """Exact argmin of lambda over the feasible set; lexicographic first on ties."""
-    rows, ev = _objective_table(snn, hw, ctx)
+    """Exact argmin of lambda over the feasible set; lexicographic first on ties.
+    table is _objective_table(snn, hw, ctx), built here when not given."""
+    rows, ev = _objective_table(snn, hw, ctx) if table is None else table
     i = int(np.argmin(ev.lam))
     return BruteForceOptimum(mapping=Mapping(rows[i].tolist()),
                              evaluation=Evaluation._make(c[i].item() for c in ev))
@@ -146,19 +192,29 @@ def _non_dominated(tau: np.ndarray, aging: np.ndarray) -> np.ndarray:
 
 
 def brute_force_pareto(
-    snn: ClusteredSnn, hw: HardwareConfig, ctx: EvalContext
+    snn: ClusteredSnn, hw: HardwareConfig, ctx: EvalContext,
+    table: tuple[np.ndarray, Evaluation] | None = None,
 ) -> ParetoFront:
     """Exact non-dominated set over all feasible mappings, by the quadratic
-    dominance filter (kept separate from the swarm's sweep on purpose)."""
-    rows, (tau, aging, _) = _objective_table(snn, hw, ctx)
-    # Stable sort: equal pairs keep row order, which is assignment order.
+    dominance filter (kept separate from the swarm's sweep on purpose).
+    table is _objective_table(snn, hw, ctx), built here when not given."""
+    rows, (tau, aging, _) = _objective_table(snn, hw, ctx) if table is None else table
     order = np.lexsort((aging, tau))
     tau, aging = tau[order], aging[order]
     starts = np.ones(order.size, dtype=bool)
     starts[1:] = (tau[1:] != tau[:-1]) | (aging[1:] != aging[:-1])
     keep = _non_dominated(tau[starts], aging[starts])[np.cumsum(starts) - 1]
+    # Every member of a kept row's orbit shares its objectives. A row fixed by
+    # some map appears more than once, next to itself once sorted.
+    group = _mesh_isometries(hw)
+    members = group[:, rows[order[keep]]].reshape(-1, rows.shape[1])
+    tau, aging = np.tile(tau[keep], len(group)), np.tile(aging[keep], len(group))
+    order = np.lexsort((*members.T[::-1], aging, tau))
+    members, tau, aging = members[order], tau[order], aging[order]
+    fresh = np.ones(order.size, dtype=bool)
+    fresh[1:] = (members[1:] != members[:-1]).any(axis=1)
     return ParetoFront(points=tuple(
         FrontPoint(mapping=Mapping(r), tau=t, aging=a)
-        for r, t, a in zip(rows[order[keep]].tolist(), tau[keep].tolist(),
-                           aging[keep].tolist())
+        for r, t, a in zip(members[fresh].tolist(), tau[fresh].tolist(),
+                           aging[fresh].tolist())
     ))

@@ -6,12 +6,14 @@ import json
 import math
 import re
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wearmap.oracle as oracle_module
 from wearmap.aging import mttf_from_aging
 from wearmap.cli import _write_json, main
 from wearmap.config import (
@@ -791,6 +793,16 @@ def test_cli_outputs_match_golden(tmp_path, capsys, argv):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in out.iterdir() if p.suffix in (".json", ".csv")}
     assert digests == _GOLDEN[argv]
+
+
+def test_cli_verify_enumerates_the_feasible_set_once(tmp_path, capsys):
+    # the optimum and the front are read off one shared objective table
+    with patch.object(oracle_module, "_assignment_table",
+                      wraps=oracle_module._assignment_table) as tables:
+        assert main(["verify", "--config", str(_BASELINE),
+                     "--output", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert tables.call_count == 1
 
 
 def test_cli_sweep_plot_data_matches_norm_columns(tmp_path):

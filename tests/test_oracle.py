@@ -46,6 +46,8 @@ from wearmap.swarm import (
     optimize,
 )
 
+from test_perf import _mesh_automorphisms
+
 
 def _hw(num_tiles, tile_capacity=1):
     return HardwareConfig(
@@ -302,6 +304,12 @@ def _reference_pareto(mappings, ctx):
     return ParetoFront(points=tuple(front))
 
 
+def _orbit(assignment, hw):
+    """Every image of one assignment under the mesh's isometries, taken from
+    the timing tests' independent construction of the group."""
+    return {tuple(perm[list(assignment)].tolist()) for perm in _mesh_automorphisms(*hw.mesh)}
+
+
 def _assert_matches_reference(workload, hw, perf=PerfParams()):
     snn = workload.snn
     ref_ctx = EvalContext(workload, hw, AgingParams(), perf)
@@ -313,6 +321,10 @@ def _assert_matches_reference(workload, hw, perf=PerfParams()):
     want = [ref_ctx.evaluate(m) for m in mappings]
     ref_map, ref_ev = _reference_optimum(mappings, ref_ctx)
     ref_front = _reference_pareto(mappings, ref_ctx)
+    # The table holds the smallest member of each orbit under the mesh's
+    # isometries, in lexicographic order, and evaluates nothing else.
+    canonical = [i for i, m in enumerate(mappings)
+                 if m.assignment == min(_orbit(m.assignment, hw))]
     # The default blocks hold every small instance whole; 16-cell blocks split
     # both the objective table and the dominance filter into many blocks.
     # The table goes through evaluate_rows, one call per block, and the
@@ -322,19 +334,22 @@ def _assert_matches_reference(workload, hw, perf=PerfParams()):
         with patch.object(oracle_module, "_BLOCK_CELLS", block_cells), \
                 patch.object(ctx, "evaluate", side_effect=AssertionError("evaluate called")), \
                 patch.object(ctx, "evaluate_rows", wraps=ctx.evaluate_rows) as batches:
-            rows, ev = _objective_table(snn, hw, ctx)
+            table = _objective_table(snn, hw, ctx)
+            rows, ev = table
             assert [len(c.args[0]) for c in batches.call_args_list] == [
-                len(mappings[lo:lo + step]) for lo in range(0, len(mappings), step)]
-            assert [tuple(r) for r in rows.tolist()] == [m.assignment for m in mappings]
+                len(canonical[lo:lo + step]) for lo in range(0, len(canonical), step)]
+            assert [tuple(r) for r in rows.tolist()] == [mappings[i].assignment
+                                                         for i in canonical]
             assert all(c.dtype == np.float64 for c in ev)
-            assert ev.tau.tolist() == [e.tau for e in want]
-            assert ev.aging.tolist() == [e.aging for e in want]
-            assert ev.lam.tolist() == [e.lam for e in want]
+            assert ev.tau.tolist() == [want[i].tau for i in canonical]
+            assert ev.aging.tolist() == [want[i].aging for i in canonical]
+            assert ev.lam.tolist() == [want[i].lam for i in canonical]
 
-            opt = brute_force_optimum(snn, hw, ctx)
-            assert opt.mapping == ref_map
-            assert opt.evaluation == ref_ev
-            assert brute_force_pareto(snn, hw, ctx) == ref_front
+            for given in (None, table):
+                opt = brute_force_optimum(snn, hw, ctx, table=given)
+                assert opt.mapping == ref_map
+                assert opt.evaluation == ref_ev
+                assert brute_force_pareto(snn, hw, ctx, table=given) == ref_front
 
 
 _MESHES = [(2, 2), (3, 1), (2, 3), (1, 2), (3, 3), (2, 1), (1, 3), (3, 2), (1, 1)]
@@ -383,6 +398,24 @@ def _instances(draw):
 def test_oracle_matches_scalar_reference(instance):
     workload, hw, perf = instance
     _assert_matches_reference(workload, hw, perf)
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_instances())
+def test_objective_table_keeps_one_row_per_orbit(instance):
+    workload, hw, perf = instance
+    ctx = EvalContext(workload, hw, AgingParams(), perf)
+    ref_ctx = EvalContext(workload, hw, AgingParams(), perf)
+    rows, ev = _objective_table(workload.snn, hw, ctx)
+    index = {tuple(r): i for i, r in enumerate(rows.tolist())}
+    assert len(index) == len(rows)
+    for m in enumerate_mappings(workload.snn, hw):
+        orbit = _orbit(m.assignment, hw)
+        (canonical,) = orbit & index.keys()  # exactly one canonical row
+        assert canonical == min(orbit)
+        i = index[canonical]
+        assert ref_ctx.evaluate(m) == (ev.tau[i], ev.aging[i], ev.lam[i])
 
 
 def test_many_clusters_on_one_tile():
