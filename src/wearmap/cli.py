@@ -35,6 +35,7 @@ from .config import YEAR_SECONDS, ConfigError, RunConfig, check_wear_rates, load
 from .model import (
     DeviceProfile,
     HardwareConfig,
+    Mapping,
     MappingConstraintError,
     Workload,
     first_fit_mapping,
@@ -106,6 +107,13 @@ def _hash(assignment: tuple[int, ...]) -> str:
 
 def _astr(assignment: tuple[int, ...]) -> str:
     return " ".join(map(str, assignment))
+
+
+def _record(mapping: Mapping, ev: Evaluation) -> dict:
+    """A mapping's assignment and objectives, as summary.json and verify.json
+    report each evaluated mapping."""
+    return {"assignment": list(mapping.assignment), "tau": ev.tau, "aging": ev.aging,
+            "lambda": ev.lam}
 
 
 def _require_feasible(workload: Workload, hw: HardwareConfig) -> None:
@@ -217,23 +225,15 @@ def cmd_map(args, cfg: RunConfig, out_dir: Path) -> int:
                ["tile", "neuron", "tddb", "nbti", "hci", "overall"],
                [list(r) for r in neuron_rows])
     _write_json(out_dir / "summary.json", {
-        "assignment": list(selected.assignment),
+        **_record(selected, ev),
         "mapping_hash": _hash(selected.assignment),
-        "tau": ev.tau,
-        "aging": ev.aging,
-        "lambda": ev.lam,
         "mttf_seconds": report.mttf,
         "epsilon": cfg.epsilon,
         "front_size": len(res.front.points),
         "iterations": res.iterations,
         "total_evaluations": res.total_evaluations,
         "unique_mappings": res.unique_mappings,
-        "g_best": {
-            "assignment": list(res.mapping.assignment),
-            "tau": res.evaluation.tau,
-            "aging": res.evaluation.aging,
-            "lambda": res.evaluation.lam,
-        },
+        "g_best": _record(res.mapping, res.evaluation),
     })
     _write_plot_data(args, out_dir, [("front", str(i), ("tau", "aging"), (t, g))
                                      for i, (_, t, g) in enumerate(front_points)])
@@ -329,18 +329,8 @@ def cmd_verify(args, cfg: RunConfig, out_dir: Path) -> int:
     front_match = pso_pairs == oracle_pairs
 
     _write_json(out_dir / "verify.json", {
-        "pso": {
-            "assignment": list(res.mapping.assignment),
-            "lambda": res.evaluation.lam,
-            "tau": res.evaluation.tau,
-            "aging": res.evaluation.aging,
-        },
-        "oracle": {
-            "assignment": list(best.mapping.assignment),
-            "lambda": best.evaluation.lam,
-            "tau": best.evaluation.tau,
-            "aging": best.evaluation.aging,
-        },
+        "pso": _record(res.mapping, res.evaluation),
+        "oracle": _record(best.mapping, best.evaluation),
         "optimum_match": optimum_match,
         "front_match": front_match,
         "pso_front_size": len(res.front.points),
@@ -372,33 +362,23 @@ def _build_parser() -> argparse.ArgumentParser:
                     "crossbar hardware.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    helps = {
+        "calibrate": "rescale aging constants so the first-fit baseline hits the target lifetime",
+        "map": "optimize a mapping and write mapping, archive, front, and summary files",
+        "sweep": "re-run the mapping across one hardware axis",
+        "compare": "compare joint optimization against time-only and random mapping baselines",
+        "verify": "check the swarm result against brute-force enumeration",
+    }
+    for name, text in helps.items():
+        sp = sub.add_parser(name, help=text)
         sp.add_argument("--config", required=True, help="run configuration YAML")
         sp.add_argument("--output", default=None,
                         help="output directory (default: config 'output' or ./wearmap_out)")
         sp.add_argument("--seed", type=int, default=None,
                         help="override the swarm seed from the config")
-
-    sp = sub.add_parser("calibrate",
-                        help="rescale aging constants so the first-fit baseline "
-                             "hits the target lifetime")
-    common(sp)
-    sp = sub.add_parser("map", help="optimize a mapping and write mapping, "
-                                    "archive, front, and summary files")
-    common(sp)
-    sp = sub.add_parser("sweep", help="re-run the mapping across one hardware axis")
-    common(sp)
-    sp.add_argument("--axis", required=True, choices=list(SWEEP_AXES))
-    sp.add_argument("--values", required=True,
-                    help="comma separated values for the chosen axis")
-    sp = sub.add_parser("compare",
-                        help="compare joint optimization against time-only and "
-                             "random mapping baselines")
-    common(sp)
-    sp = sub.add_parser("verify",
-                        help="check the swarm result against brute-force enumeration")
-    common(sp)
+    sub.choices["sweep"].add_argument("--axis", required=True, choices=list(SWEEP_AXES))
+    sub.choices["sweep"].add_argument("--values", required=True,
+                                      help="comma separated values for the chosen axis")
     for name in ("map", "sweep", "compare"):
         sub.choices[name].add_argument("--plot-data", action="store_true",
                                        help="also write plot_data.csv in long form")

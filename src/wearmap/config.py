@@ -4,6 +4,12 @@ The schema is validated by hand so that errors name the offending field and
 unknown keys are rejected (typos fail loudly instead of silently using a
 default). Domain invariants stay in the domain constructors; this module maps
 their ValueErrors onto ConfigError with the field path prepended.
+
+Every field is read by a parser called as parse(value, field path), and every
+mapping node, the root included, by _fields. An error names its field by that
+path: config.<key> for a field of the root (config.epsilon, config.hardware),
+and the path from the section for a field inside one (hardware.num_tiles,
+workload.inline.trains.b[1]).
 """
 
 from __future__ import annotations
@@ -31,17 +37,33 @@ from .swarm import PsoConfig
 
 YEAR_SECONDS = 365 * 24 * 3600.0
 
-_MISSING = object()
-
 
 class ConfigError(ValueError):
     """Configuration file problem; the message names the field path."""
 
 
-def _mapping(node, path: str) -> dict:
-    if not isinstance(node, dict):
-        raise ConfigError(f"{path}: expected a mapping")
-    return node
+def _rule(ok, message: str, parse=lambda val, where: val):
+    """A parser that parses a value with parse, then refuses it unless ok holds
+    for it, with message."""
+    def checked(val, where: str):
+        val = parse(val, where)
+        if not ok(val):
+            raise ConfigError(f"{where}: {message}")
+        return val
+    return checked
+
+
+def _is_int(val) -> bool:
+    """An int that is not a bool: Python bools are ints, and no field takes one
+    as a count."""
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+_bool = _rule(lambda v: isinstance(v, bool), "expected a boolean")
+_int = _rule(_is_int, "expected an integer")
+_str = _rule(lambda v: isinstance(v, str), "expected a string")
+_list = _rule(lambda v: isinstance(v, list), "expected a list")
+_mapping = _rule(lambda v: isinstance(v, dict), "expected a mapping")
 
 
 def _check_keys(d: dict, allowed: set[str], path: str) -> None:
@@ -50,39 +72,11 @@ def _check_keys(d: dict, allowed: set[str], path: str) -> None:
         raise ConfigError(f"{path}: unknown key(s) {', '.join(map(repr, unknown))}")
 
 
-def _get(d: dict, key: str, path: str, kind, default=_MISSING):
-    """Fetch and type-check one field. kind is bool/int/float/str/list/dict,
-    or a section parser, called as kind(value, field path).
-
-    bool is checked before the int family because Python bools are ints.
-    """
+def _get(d: dict, key: str, path: str, parse):
+    """Fetch one field and parse it, called as parse(value, field path)."""
     if key not in d:
-        if default is _MISSING:
-            raise ConfigError(f"{path}.{key}: required field missing")
-        return default
-    val = d[key]
-    where = f"{path}.{key}"
-    if kind is bool:
-        if not isinstance(val, bool):
-            raise ConfigError(f"{where}: expected a boolean")
-        return val
-    if kind is int:
-        if isinstance(val, bool) or not isinstance(val, int):
-            raise ConfigError(f"{where}: expected an integer")
-        return val
-    if kind is float:
-        return _number(val, where)
-    if kind is str:
-        if not isinstance(val, str):
-            raise ConfigError(f"{where}: expected a string")
-        return val
-    if kind is list:
-        if not isinstance(val, list):
-            raise ConfigError(f"{where}: expected a list")
-        return val
-    if kind is dict:
-        return _mapping(val, where)
-    return kind(val, where)
+        raise ConfigError(f"{path}.{key}: required field missing")
+    return parse(d[key], f"{path}.{key}")
 
 
 def _number(val, where: str) -> float:
@@ -111,16 +105,23 @@ def _rate(val, path: str) -> float | list[float]:
 
 
 def _build(ctor, kwargs: dict, path: str):
+    """Call ctor(**kwargs), raising its ValueError or OverflowError (a count
+    past the index-sized integers) as a ConfigError that names path."""
     try:
         return ctor(**kwargs)
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:
         raise ConfigError(f"{path}: {e}") from e
+
+
+def _each(parse):
+    """A parser of a list whose items are parsed as parse(item, path[i])."""
+    return lambda val, where: [parse(x, f"{where}[{i}]") for i, x in enumerate(_list(val, where))]
 
 
 def _fields(node, path: str, kinds: dict, required=()) -> dict:
     """The fields of a mapping node, checked in kinds' order: unknown keys are
-    refused, a missing required field too, and each field present is fetched
-    with _get as its kind."""
+    refused, a missing required field too, and each field present is parsed
+    by _get with its kind."""
     d = _mapping(node, path)
     _check_keys(d, set(kinds), path)
     return {key: _get(d, key, path, kind)
@@ -134,98 +135,88 @@ def _section(ctor, kinds: dict, required=()):
 
 _parse_device = _section(
     DeviceProfile,
-    {"kind": str, "v_active": float, "v_idle": float, "spike_pulse_width": float},
+    {"kind": _str, "v_active": _number, "v_idle": _number, "spike_pulse_width": _number},
     required=("kind",),
 )
 
 
+_mesh = _rule(lambda m: len(m) == 2 and all(map(_is_int, m)),
+              "expected [width, height] integers", lambda val, where: tuple(_list(val, where)))
+
+
 def _parse_hardware(node, path: str) -> HardwareConfig:
     kwargs = _fields(node, path, {
-        "num_tiles": int, "crossbar_dim": int, "device": _parse_device,
-        "tile_capacity": int, "temperature": float, "mesh": list,
+        "num_tiles": _int, "crossbar_dim": _int, "device": _parse_device,
+        "tile_capacity": _int, "temperature": _number, "mesh": _mesh,
     }, required=("num_tiles", "crossbar_dim", "device"))
     kwargs["device_profile"] = kwargs.pop("device")
-    mesh = kwargs.get("mesh")
-    if mesh is not None:
-        if len(mesh) != 2 or any(isinstance(x, bool) or not isinstance(x, int) for x in mesh):
-            raise ConfigError(f"{path}.mesh: expected [width, height] integers")
-        kwargs["mesh"] = (mesh[0], mesh[1])
     return _build(HardwareConfig, kwargs, path)
 
 
 # Wear constants are read in sorted key order.
-_NBTI_KINDS = dict.fromkeys(("ea", "g0", "m", "n", "v_threshold"), float)
+_NBTI_KINDS = dict.fromkeys(("ea", "g0", "m", "n", "v_threshold"), _number)
 _parse_aging = _section(AgingParams, {
-    "tddb": _section(TddbParams, dict.fromkeys(("a", "beta", "ea", "gamma", "t_ref"), float)),
+    "tddb": _section(TddbParams, dict.fromkeys(("a", "beta", "ea", "gamma", "t_ref"), _number)),
     "nbti": _section(NbtiParams, _NBTI_KINDS),
-    "hci": _section(HciParams, {**_NBTI_KINDS, "enabled": bool}),
+    "hci": _section(HciParams, {**_NBTI_KINDS, "enabled": _bool}),
 })
 _parse_perf = _section(
-    PerfParams, {"spike_latency": float, "hop_latency": float, "tile_parallelism": bool})
+    PerfParams, {"spike_latency": _number, "hop_latency": _number, "tile_parallelism": _bool})
 _parse_pso = _section(PsoConfig, {
-    "n_particles": int, "max_iterations": int, "seed": int,
-    "phi1": float, "phi2": float, "v_clamp": float,
+    "n_particles": _int, "max_iterations": _int, "seed": _int,
+    "phi1": _number, "phi2": _number, "v_clamp": _number,
 })
 
 
-_SHAPE_KINDS = {"num_clusters": int, "neurons_per_cluster": int, "synapses_per_cluster": int,
-                "kind": str, "edge_prob": float}
+_SHAPE_KINDS = {"num_clusters": _int, "neurons_per_cluster": _int, "synapses_per_cluster": _int,
+                "kind": _str, "edge_prob": _number}
 
 
 def _parse_poisson_workload(node, path: str) -> Workload:
-    kwargs = _fields(node, path, {**_SHAPE_KINDS, "rate": _rate, "window": float, "seed": int},
+    kwargs = _fields(node, path, {**_SHAPE_KINDS, "rate": _rate, "window": _number, "seed": _int},
                      required=("num_clusters", "rate", "window", "seed"))
     shape = _build(WorkloadShape, {k: kwargs.pop(k) for k in _SHAPE_KINDS if k in kwargs}, path)
     return _build(generate_poisson_workload, {"snn_shape": shape, **kwargs}, path)
 
 
-_CLUSTER_KINDS = {"id": str, "neuron_count": int, "synapse_count": int}
-_EDGE_KINDS = {"src": str, "dst": str, "spike_count": int}
+_CLUSTER_KINDS = {"id": _str, "neuron_count": _int, "synapse_count": _int}
+_EDGE_KINDS = {"src": _str, "dst": _str, "spike_count": _int}
 _parse_cluster = _section(Cluster, _CLUSTER_KINDS, required=_CLUSTER_KINDS)
 _parse_edge = _section(Edge, _EDGE_KINDS, required=_EDGE_KINDS)
+_INLINE_KINDS = {
+    "window": _number,
+    # No clusters leave nothing to map: the search and its evaluator need at least one.
+    "clusters": _rule(bool, "expected a non-empty list", _each(_parse_cluster)),
+    "edges": _each(_parse_edge),
+    "trains": _mapping,
+}
 
 
 def _parse_inline_workload(node, path: str) -> Workload:
-    d = _fields(node, path, {"window": float, "clusters": list, "edges": list, "trains": dict},
-                required=("window", "clusters", "trains"))
-    clusters = [_parse_cluster(c, f"{path}.clusters[{i}]")
-                for i, c in enumerate(d["clusters"])]
-    edges = [_parse_edge(e, f"{path}.edges[{i}]") for i, e in enumerate(d.get("edges", []))]
+    d = _fields(node, path, _INLINE_KINDS, required=("window", "clusters", "trains"))
+    snn = _build(ClusteredSnn, {"clusters": d["clusters"], "edges": d.get("edges", []),
+                                "workload_window": d["window"]}, f"{path}.window")
+    window = snn.workload_window
 
-    snn = _build(ClusteredSnn,
-                 {"clusters": clusters, "edges": edges, "workload_window": d["window"]},
-                 f"{path}.window")
+    def train(val, where: str) -> SpikeTrain:
+        spikes = _build(SpikeTrain, {"times": _number_list(val, where) if val else []}, where)
+        if len(spikes) and spikes.times[-1] >= window:
+            raise ConfigError(f"{where}: spike times must lie within [0, window={window!r})")
+        return spikes
 
-    trains_node = d["trains"]
-    cluster_ids = [c.id for c in clusters]
-    extra = sorted(set(trains_node) - set(cluster_ids))
-    if extra:
-        raise ConfigError(f"{path}.trains: unknown cluster id(s) {', '.join(map(repr, extra))}")
-    trains = {}
-    for cid in cluster_ids:
-        if cid not in trains_node:
-            raise ConfigError(f"{path}.trains.{cid}: required field missing")
-        times = _number_list(trains_node[cid], f"{path}.trains.{cid}") \
-            if trains_node[cid] else []
-        try:
-            trains[cid] = SpikeTrain(times)
-        except ValueError as e:
-            raise ConfigError(f"{path}.trains.{cid}: {e}") from e
-        if len(trains[cid]) and trains[cid].times[-1] >= snn.workload_window:
-            raise ConfigError(f"{path}.trains.{cid}: spike times must lie within "
-                              f"[0, window={snn.workload_window!r})")
+    ids = [c.id for c in snn.clusters]
+    trains = _fields(d["trains"], f"{path}.trains", dict.fromkeys(ids, train), required=ids)
     return Workload(snn=snn, trains=trains)
 
 
 def _parse_workload(node, path: str) -> Workload:
+    sources = {"poisson": _parse_poisson_workload, "inline": _parse_inline_workload}
     d = _mapping(node, path)
-    _check_keys(d, {"poisson", "inline"}, path)
-    given = [k for k in ("poisson", "inline") if k in d]
-    if len(given) != 1:
+    _check_keys(d, set(sources), path)
+    if len(d) != 1:
         raise ConfigError(f"{path}: exactly one of 'poisson' or 'inline' is required")
-    if given[0] == "poisson":
-        return _parse_poisson_workload(d["poisson"], f"{path}.poisson")
-    return _parse_inline_workload(d["inline"], f"{path}.inline")
+    [source] = d
+    return _get(d, source, path, sources[source])
 
 
 def check_wear_rates(aging: AgingParams, hw: HardwareConfig) -> None:
@@ -290,47 +281,47 @@ class RunConfig:
             raise ConfigError(f"--seed: {e}") from e
 
 
+def _root_section(parse):
+    """A section's parser at the root: the node is named config.<key>, and the
+    fields inside it from the section, <key>.<field>."""
+    return lambda node, where: parse(_mapping(node, where), where.removeprefix("config."))
+
+
+_ROOT_KINDS = {
+    "epsilon": _rule(lambda x: x >= 0.0, "must be >= 0", _number),
+    "target_mttf_years": _rule(lambda x: math.isfinite(x) and x > 0.0,
+                               "must be finite and > 0", _number),
+    "n_random": _rule(lambda n: n >= 1, "must be >= 1", _int),
+    "hardware": _root_section(_parse_hardware),
+    "aging": _root_section(_parse_aging),
+    "perf": _root_section(_parse_perf),
+    "pso": _root_section(_parse_pso),
+    "workload": _root_section(_parse_workload),
+    "output": _str,
+}
+
+
 def parse_run_config(text: str) -> RunConfig:
     try:
         root = yaml.safe_load(text)
     except yaml.YAMLError as e:
         raise ConfigError(f"config is not valid YAML: {e}") from e
-    root = _mapping(root, "config")
-    _check_keys(
-        root,
-        {"output", "epsilon", "target_mttf_years", "n_random",
-         "hardware", "aging", "perf", "pso", "workload"},
-        "config",
-    )
-    epsilon = _get(root, "epsilon", "config", float, default=0.05)
-    if epsilon < 0.0:
-        raise ConfigError("config.epsilon: must be >= 0")
-    years = _get(root, "target_mttf_years", "config", float, default=2.0)
-    if not (math.isfinite(years) and years > 0.0):
-        raise ConfigError("config.target_mttf_years: must be finite and > 0")
-    n_random = _get(root, "n_random", "config", int, default=25)
-    if n_random < 1:
-        raise ConfigError("config.n_random: must be >= 1")
-
-    hardware = _parse_hardware(_get(root, "hardware", "config", dict), "hardware")
-    aging = _parse_aging(root["aging"], "aging") if "aging" in root else AgingParams()
-    check_wear_rates(aging, hardware)
-    perf = _parse_perf(root["perf"], "perf") if "perf" in root else PerfParams()
-    pso = _parse_pso(root["pso"], "pso") if "pso" in root else PsoConfig()
-    workload = _parse_workload(_get(root, "workload", "config", dict), "workload")
-    _check_pulse_width(hardware, workload)
+    d = _fields(root, "config", _ROOT_KINDS, required=("hardware", "workload"))
+    aging = d.get("aging", AgingParams())
+    check_wear_rates(aging, d["hardware"])
+    _check_pulse_width(d["hardware"], d["workload"])
 
     return RunConfig(
         raw_text=text,
-        output=_get(root, "output", "config", str, default=None),
-        epsilon=epsilon,
-        target_mttf_seconds=years * YEAR_SECONDS,
-        n_random=n_random,
-        hardware=hardware,
+        output=d.get("output"),
+        epsilon=d.get("epsilon", 0.05),
+        target_mttf_seconds=d.get("target_mttf_years", 2.0) * YEAR_SECONDS,
+        n_random=d.get("n_random", 25),
+        hardware=d["hardware"],
         aging=aging,
-        perf=perf,
-        pso=pso,
-        workload=workload,
+        perf=d.get("perf", PerfParams()),
+        pso=d.get("pso", PsoConfig()),
+        workload=d["workload"],
     )
 
 

@@ -339,7 +339,118 @@ def test_load_missing_file_is_config_error(tmp_path):
         load_run_config(str(tmp_path / "nope.yaml"))
 
 
+def _root(**changes):
+    """BASE with root keys set to new values, or removed where the value is _DELETE."""
+    root = {**yaml.safe_load(BASE), **changes}
+    return yaml.safe_dump({k: v for k, v in root.items() if v is not _DELETE})
+
+
+def _poisson(rate):
+    return _root(workload={"poisson": {"num_clusters": 2, "rate": rate, "window": 1.0,
+                                       "seed": 0}})
+
+
+# One invalid config per kind of field error, with its whole message: a root
+# field is named config.<key>, a field inside a section by its section path.
+_P = pytest.param
+_MESSAGES = [
+    _P("- just\n- a list\n", "config: expected a mapping", id="root_not_mapping"),
+    _P(BASE + "bogus_key: 1\n", "config: unknown key(s) 'bogus_key'", id="root_unknown_key"),
+    _P("epsilon: low\n" + BASE, "config.epsilon: expected a number", id="epsilon_type"),
+    _P("epsilon: -0.1\n" + BASE, "config.epsilon: must be >= 0", id="epsilon_range"),
+    _P("target_mttf_years: [2.0]\n" + BASE, "config.target_mttf_years: expected a number",
+       id="target_mttf_type"),
+    _P("target_mttf_years: 0.0\n" + BASE, "config.target_mttf_years: must be finite and > 0",
+       id="target_mttf_range"),
+    _P("n_random: 2.5\n" + BASE, "config.n_random: expected an integer", id="n_random_type"),
+    _P("n_random: true\n" + BASE, "config.n_random: expected an integer", id="n_random_bool"),
+    _P("n_random: 0\n" + BASE, "config.n_random: must be >= 1", id="n_random_range"),
+    _P("output: 7\n" + BASE, "config.output: expected a string", id="output_type"),
+    _P(_root(hardware=[1]), "config.hardware: expected a mapping", id="hardware_not_mapping"),
+    _P(_root(aging=[1]), "config.aging: expected a mapping", id="aging_not_mapping"),
+    _P(_root(perf=[1]), "config.perf: expected a mapping", id="perf_not_mapping"),
+    _P(_root(pso=[1]), "config.pso: expected a mapping", id="pso_not_mapping"),
+    _P(_root(workload=[1]), "config.workload: expected a mapping", id="workload_not_mapping"),
+    _P(_root(hardware=_DELETE), "config.hardware: required field missing",
+       id="hardware_missing"),
+    _P(_root(workload=_DELETE), "config.workload: required field missing",
+       id="workload_missing"),
+    _P(BASE.replace("  num_tiles: 2\n", ""), "hardware.num_tiles: required field missing",
+       id="num_tiles_missing"),
+    _P(BASE.replace("num_tiles: 2", "num_tiles: two"), "hardware.num_tiles: expected an integer",
+       id="num_tiles_type"),
+    _P(BASE.replace("n_particles: 8", "n_particle: 8"), "pso: unknown key(s) 'n_particle'",
+       id="nested_unknown_key"),
+    _P(BASE.replace("kind: diode_1D1R", "kind: 3"), "hardware.device.kind: expected a string",
+       id="device_kind_type"),
+    _P(BASE.replace("kind: diode_1D1R", "kind: memristor"),
+       "hardware.device: unknown device kind 'memristor'; "
+       "expected one of ['diode_1D1R', 'transistor_1T1R']", id="device_kind_domain"),
+    _P(BASE + "aging: {hci: {enabled: 1}}\n", "aging.hci.enabled: expected a boolean",
+       id="hci_enabled_type"),
+    _P(BASE.replace("temperature: 300.0", "temperature: 300.0\n  mesh: [2]"),
+       "hardware.mesh: expected [width, height] integers", id="mesh_length"),
+    _P(BASE.replace("temperature: 300.0", "temperature: 300.0\n  mesh: 2x1"),
+       "hardware.mesh: expected a list", id="mesh_type"),
+    _P(_poisson(True), "workload.poisson.rate: expected a number or list of numbers",
+       id="rate_bool"),
+    _P(_poisson([]), "workload.poisson.rate: expected a non-empty list of numbers",
+       id="rate_empty_list"),
+    _P(_poisson([1.0, "x"]), "workload.poisson.rate[1]: expected a number", id="rate_item_type"),
+    _P(BASE.replace("    edges:\n      - {src: a, dst: b, spike_count: 3}\n", "    edges: {}\n"),
+       "workload.inline.edges: expected a list", id="edges_type"),
+    _P(BASE.replace("      - {id: b, neuron_count: 4, synapse_count: 8}", "      - b"),
+       "workload.inline.clusters[1]: expected a mapping", id="cluster_not_mapping"),
+    _P(BASE.replace("      b: [0.2, 0.5]\n", ""),
+       "workload.inline.trains.b: required field missing", id="train_missing"),
+    _P(BASE + "      zz: [0.3]\n", "workload.inline.trains: unknown key(s) 'zz'",
+       id="train_unknown"),
+    _P(BASE.replace("b: [0.2, 0.5]", "b: [0.2, x]"),
+       "workload.inline.trains.b[1]: expected a number", id="train_item_type"),
+    _P(BASE.replace("b: [0.2, 0.5]", "b: [-0.2, 0.5]"),
+       "workload.inline.trains.b: spike times must be >= 0", id="train_negative"),
+    _P(BASE.replace("b: [0.2, 0.5]", "b: 0.5"),
+       "workload.inline.trains.b: expected a non-empty list of numbers", id="train_not_list"),
+    _P(BASE.replace("    trains:\n      a: [0.1, 0.4, 0.7]\n      b: [0.2, 0.5]\n",
+                    "    trains: [1]\n"),
+       "workload.inline.trains: expected a mapping", id="trains_not_mapping"),
+    _P(_root(workload={}), "workload: exactly one of 'poisson' or 'inline' is required",
+       id="workload_neither"),
+    _P(_root(workload={"inline": {}, "poisson": {}}),
+       "workload: exactly one of 'poisson' or 'inline' is required", id="workload_both"),
+]
+
+
+@pytest.mark.parametrize("text, message", _MESSAGES)
+def test_config_error_message(text, message):
+    with pytest.raises(ConfigError) as e:
+        parse_run_config(text)
+    assert str(e.value) == message
+
+
 # ---------------------------------------------------------------- exit codes
+
+
+def test_cli_inline_without_clusters_exits_2(tmp_path, capsys):
+    # the empty workload parsed, then map, verify and compare ended in a
+    # reshape ValueError (exit 1) and calibrate in an infeasible exit 3
+    p = _write(tmp_path, _root(workload={"inline": {"window": 1.0, "clusters": [],
+                                                    "trains": {}}}))
+    for command in ("map", "verify", "compare", "calibrate"):
+        assert main([command, "--config", str(p), "--output", str(tmp_path / command)]) == 2
+        assert capsys.readouterr().err == (
+            "error: workload.inline.clusters: expected a non-empty list\n")
+
+
+@pytest.mark.parametrize("count", [2**63, 10**30])
+def test_cli_poisson_cluster_count_overflow_exits_2(tmp_path, capsys, count):
+    # [rate] * count raised OverflowError past the reader: a traceback, exit 1
+    p = _write(tmp_path, _root(workload={"poisson": {"num_clusters": count, "rate": 1.0,
+                                                     "window": 1.0, "seed": 0}}))
+    assert main(["map", "--config", str(p), "--output", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: workload.poisson: ")
+
+
 
 
 def test_cli_missing_config_exits_2(tmp_path, capsys):
