@@ -199,7 +199,8 @@ def _parse_inline_workload(node, path: str) -> Workload:
     window = snn.workload_window
 
     def train(val, where: str) -> SpikeTrain:
-        spikes = _build(SpikeTrain, {"times": _number_list(val, where) if val else []}, where)
+        times = [] if val is None or val == [] else _number_list(val, where)
+        spikes = _build(SpikeTrain, {"times": times}, where)
         if len(spikes) and spikes.times[-1] >= window:
             raise ConfigError(f"{where}: spike times must lie within [0, window={window!r})")
         return spikes

@@ -81,14 +81,20 @@ class ClusteredSnn:
         return {c.id: i for i, c in enumerate(self.clusters)}
 
     @cached_property
+    def resolved_edges(self) -> tuple[tuple[int, int, int], ...]:
+        """(src, dst, spike_count) cluster-index triples of the edges, in edge
+        order. Dangling edges, with an endpoint that names no cluster, are
+        ignored here and nowhere else (validate_snn reports them)."""
+        index_of = self.index_of
+        return tuple((index_of[e.src], index_of[e.dst], e.spike_count)
+                     for e in self.edges if e.src in index_of and e.dst in index_of)
+
+    @cached_property
     def predecessor_sets(self) -> tuple[frozenset[int], ...]:
-        """Per-cluster sets of source-cluster indices (dangling edges ignored)."""
+        """Per-cluster sets of source-cluster indices."""
         preds: list[set[int]] = [set() for _ in self.clusters]
-        for e in self.edges:
-            si = self.index_of.get(e.src)
-            di = self.index_of.get(e.dst)
-            if si is not None and di is not None:
-                preds[di].add(si)
+        for si, di, _ in self.resolved_edges:
+            preds[di].add(si)
         return tuple(frozenset(p) for p in preds)
 
 

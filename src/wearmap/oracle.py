@@ -20,9 +20,10 @@ optimum and the front when the caller builds it once and passes it to each.
 Everything here is deliberately independent of the swarm's search: the
 optimum is the first argmin over the canonical rows, which is the first
 argmin over the full table since that row is the smallest of its orbit. The
-Pareto filter is the plain quadratic dominance check, run over the distinct
-(tau, aging) pairs in blocks of bounded memory rather than the swarm's
-sort-and-sweep; the canonical rows carry every pair the full table has, and
+front is the maxima sweep of Kung, Luccio and Preparata (JACM 1975), written
+apart from the swarm's extract_pareto: the distinct (tau, aging) pairs are
+sorted, and a pair is kept iff its aging is below the running minimum of the
+pairs before it. The canonical rows carry every pair the full table has, and
 each kept row is expanded back to its whole orbit. Used to validate optimizer
 output and exposed through the CLI's verify command.
 """
@@ -30,7 +31,7 @@ output and exposed through the CLI's verify command.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, isqrt
+from math import comb
 from typing import Iterator
 
 import numpy as np
@@ -39,8 +40,8 @@ from .model import ClusteredSnn, HardwareConfig, Mapping
 from .swarm import EvalContext, Evaluation, FrontPoint, InfeasibleError, ParetoFront
 
 ENUMERATION_GUARD = 10 ** 6
-# Cells per block of the (tile, mapping) arrays and of the dominance filter's
-# comparison matrix, so the oracle's working memory stays bounded.
+# Cells per block of the (tile, mapping) arrays that the objective table is
+# evaluated on, so the oracle's working memory stays bounded.
 _BLOCK_CELLS = 1 << 20
 
 
@@ -169,52 +170,35 @@ def brute_force_optimum(
                              evaluation=Evaluation._make(c[i].item() for c in ev))
 
 
-def _non_dominated(tau: np.ndarray, aging: np.ndarray) -> np.ndarray:
-    """Quadratic dominance filter over distinct pairs sorted by (tau, aging).
-
-    A dominator is never larger in either objective and differs in one, so it
-    sorts before the point it dominates: each block of points is checked
-    against the prefix up to its own end only.
-    """
-    n = tau.size
-    keep = np.empty(n, dtype=bool)
-    side = isqrt(_BLOCK_CELLS)
-    lo = 0
-    while lo < n:
-        # step <= side, so step * (lo + step) <= _BLOCK_CELLS
-        hi = min(n, lo + max(1, _BLOCK_CELLS // (lo + side)))
-        tp, ap = tau[lo:hi, None], aging[lo:hi, None]
-        tq, aq = tau[None, :hi], aging[None, :hi]
-        dominated = (tq <= tp) & (aq <= ap) & ((tq < tp) | (aq < ap))
-        keep[lo:hi] = ~dominated.any(axis=1)
-        lo = hi
-    return keep
-
-
 def brute_force_pareto(
     snn: ClusteredSnn, hw: HardwareConfig, ctx: EvalContext,
     table: tuple[np.ndarray, Evaluation] | None = None,
 ) -> ParetoFront:
-    """Exact non-dominated set over all feasible mappings, by the quadratic
-    dominance filter (kept separate from the swarm's sweep on purpose).
+    """Exact non-dominated set over all feasible mappings, by the maxima sweep
+    of Kung, Luccio and Preparata over the distinct (tau, aging) pairs (kept
+    separate from the swarm's extract_pareto on purpose). Points are ordered by
+    (tau, aging, assignment).
     table is _objective_table(snn, hw, ctx), built here when not given."""
     rows, (tau, aging, _) = _objective_table(snn, hw, ctx) if table is None else table
     order = np.lexsort((aging, tau))
     tau, aging = tau[order], aging[order]
     starts = np.ones(order.size, dtype=bool)
     starts[1:] = (tau[1:] != tau[:-1]) | (aging[1:] != aging[:-1])
-    keep = _non_dominated(tau[starts], aging[starts])[np.cumsum(starts) - 1]
-    # Every member of a kept row's orbit shares its objectives. A row fixed by
-    # some map appears more than once, next to itself once sorted.
+    # Sorted by (tau, aging), a distinct pair is dominated iff an earlier pair
+    # has no larger aging: it is kept iff its aging is below all of theirs.
+    distinct = aging[starts]
+    on_front = np.ones(distinct.size, dtype=bool)
+    on_front[1:] = distinct[1:] < np.minimum.accumulate(distinct)[:-1]
+    keep = np.flatnonzero(on_front[np.cumsum(starts) - 1])
+    # Every member of a kept row's orbit shares its objectives. np.unique drops
+    # the repeats of rows that some map fixes and sorts the rest; the stable
+    # lexsort keeps that assignment order among equal objectives.
     group = _mesh_isometries(hw)
-    members = group[:, rows[order[keep]]].reshape(-1, rows.shape[1])
-    tau, aging = np.tile(tau[keep], len(group)), np.tile(aging[keep], len(group))
-    order = np.lexsort((*members.T[::-1], aging, tau))
-    members, tau, aging = members[order], tau[order], aging[order]
-    fresh = np.ones(order.size, dtype=bool)
-    fresh[1:] = (members[1:] != members[:-1]).any(axis=1)
+    members, first = np.unique(group[:, rows[order[keep]]].reshape(-1, rows.shape[1]),
+                               axis=0, return_index=True)
+    source = np.tile(keep, len(group))[first]
+    order = np.lexsort((aging[source], tau[source]))
+    members, source = members[order], source[order]
+    points = zip(members.tolist(), tau[source].tolist(), aging[source].tolist())
     return ParetoFront(points=tuple(
-        FrontPoint(mapping=Mapping(r), tau=t, aging=a)
-        for r, t, a in zip(members[fresh].tolist(), tau[fresh].tolist(),
-                           aging[fresh].tolist())
-    ))
+        FrontPoint(mapping=Mapping(r), tau=t, aging=a) for r, t, a in points))

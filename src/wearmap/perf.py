@@ -50,16 +50,11 @@ def execution_times(
     array of feasible tile indices (not validated here).
 
     Spike arrivals and spike-hops are exact integer sums; the float operations
-    come last, once per row. Edges with unresolvable endpoints contribute
-    nothing (validate_snn reports them).
+    come last, once per row. Only snn.resolved_edges contribute: dangling
+    edges add nothing.
     """
     rows = np.asarray(rows)
-    index_of = snn.index_of
-    edges = [
-        (index_of[e.src], index_of[e.dst], e.spike_count)
-        for e in snn.edges
-        if e.src in index_of and e.dst in index_of
-    ]
+    edges = snn.resolved_edges
     width, height = hw.mesh
     # Python ints never overflow; fall back to them where int64 could.
     bound = sum(c for _, _, c in edges) * max(1, width + height - 2)

@@ -411,6 +411,12 @@ _MESSAGES = [
        "workload.inline.trains.b: spike times must be >= 0", id="train_negative"),
     _P(BASE.replace("b: [0.2, 0.5]", "b: 0.5"),
        "workload.inline.trains.b: expected a non-empty list of numbers", id="train_not_list"),
+    _P(BASE.replace("b: [0.2, 0.5]", "b: 0"),
+       "workload.inline.trains.b: expected a non-empty list of numbers", id="train_zero"),
+    _P(BASE.replace("b: [0.2, 0.5]", "b: false"),
+       "workload.inline.trains.b: expected a non-empty list of numbers", id="train_false"),
+    _P(BASE.replace("b: [0.2, 0.5]", "b: \"\""),
+       "workload.inline.trains.b: expected a non-empty list of numbers", id="train_empty_string"),
     _P(BASE.replace("    trains:\n      a: [0.1, 0.4, 0.7]\n      b: [0.2, 0.5]\n",
                     "    trains: [1]\n"),
        "workload.inline.trains: expected a mapping", id="trains_not_mapping"),
@@ -426,6 +432,12 @@ def test_config_error_message(text, message):
     with pytest.raises(ConfigError) as e:
         parse_run_config(text)
     assert str(e.value) == message
+
+
+@pytest.mark.parametrize("value", ["[]", "null", ""])
+def test_inline_train_empty_list_or_null_has_no_spikes(value):
+    text = BASE.replace("b: [0.2, 0.5]", f"b: {value}")
+    assert len(parse_run_config(text).workload.trains["b"]) == 0
 
 
 # ---------------------------------------------------------------- exit codes

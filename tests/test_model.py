@@ -140,6 +140,14 @@ def test_validate_snn_dangling_edge():
     assert [v.kind for v in violations] == ["dangling_edge"]
 
 
+def test_resolved_edges_drop_dangling_edges():
+    snn = _snn([Cluster("a", 4, 4), Cluster("b", 4, 4)],
+               [Edge("a", "b", 3), Edge("ghost", "b", 5), Edge("b", "a", 2 ** 64),
+                Edge("b", "nowhere", 7), Edge("b", "b", 1)])
+    assert snn.resolved_edges == ((0, 1, 3), (1, 0, 2 ** 64), (1, 1, 1))
+    assert snn.predecessor_sets == (frozenset({1}), frozenset({0, 1}))
+
+
 def test_validate_snn_fan_in_pigeonhole():
     # 4 output neurons cannot absorb 40 synapses on an 8-wide crossbar.
     snn = _snn([Cluster("a", 4, 40)], [])

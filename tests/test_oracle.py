@@ -1,5 +1,6 @@
 """Tests for the brute-force enumeration oracle."""
 
+import hashlib
 import itertools
 import math
 from unittest.mock import patch
@@ -38,6 +39,7 @@ from wearmap.perf import PerfParams
 from wearmap.swarm import (
     ArchiveEntry,
     EvalContext,
+    Evaluation,
     FrontPoint,
     InfeasibleError,
     ParetoFront,
@@ -219,8 +221,8 @@ def test_pareto_two_mapping_instance():
 
 
 def test_pareto_matches_archive_extraction():
-    # Dual route: the quadratic dominance filter and the sweep-based
-    # extract_pareto must agree on the full enumeration of random instances.
+    # Dual route: the oracle's front and the swarm's extract_pareto, written
+    # apart, must agree on the full enumeration of random instances.
     for seed in range(6):
         ctx = _ctx(4, 2, tile_capacity=2, seed=seed, rate=80.0)
         oracle_front = brute_force_pareto(ctx.workload.snn, ctx.hw, ctx)
@@ -258,6 +260,31 @@ def test_pareto_refuses_nan_objectives(monkeypatch):
         brute_force_pareto(ctx.workload.snn, ctx.hw, ctx)
 
 
+# Few distinct values, so that duplicate pairs, equal-tau groups and inf aging
+# are common.
+_TAUS = st.one_of(st.sampled_from([0.0, 0.25, 0.5]), st.floats(0.0, 1e3))
+_AGINGS = st.one_of(st.sampled_from([0.0, 0.5, math.inf]), st.floats(0.0, 1e3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), _TAUS, _AGINGS), min_size=1, max_size=5,
+                unique_by=lambda x: x[0]))
+def test_pareto_of_a_given_table_matches_quadratic_filter(items):
+    # The table stands in for the evaluator: canonical rows (i,) on a 1x10
+    # mesh, whose orbit is {i, 9 - i}, with objectives no workload produces.
+    hw = HardwareConfig(num_tiles=10, crossbar_dim=64, mesh=(10, 1),
+                        device_profile=DeviceProfile(kind="diode_1D1R"))
+    items.sort()
+    tau, aging = (np.array([x[k] for x in items]) for k in (1, 2))
+    table = (np.array([[i] for i, _, _ in items]), Evaluation(tau, aging, tau * 0.0))
+    points = [(t, a, (m,)) for i, t, a in items for m in (i, 9 - i)]
+    want = sorted(p for p in points
+                  if not any(q[0] <= p[0] and q[1] <= p[1] and (q[0] < p[0] or q[1] < p[1])
+                             for q in points))
+    front = brute_force_pareto(_snn(1), hw, None, table=table)
+    assert [(p.tau, p.aging, p.mapping.assignment) for p in front.points] == want
+
+
 # ---------------------------------------------------------------- scalar reference
 # The oracle as it was before the objective table: the recursive lexicographic
 # generator, ctx.evaluate per mapping, a strict-< argmin, and the quadratic
@@ -283,18 +310,17 @@ def _reference_mappings(snn, hw):
     return list(rec(0))
 
 
-def _reference_optimum(mappings, ctx):
+def _reference_optimum(mappings, evaluations):
     best = None
-    for m in mappings:
-        ev = ctx.evaluate(m)
+    for m, ev in zip(mappings, evaluations):
         if best is None or ev.lam < best[1].lam:
             best = (m, ev)
     return best
 
 
-def _reference_pareto(mappings, ctx):
+def _reference_pareto(mappings, evaluations):
     pts = [FrontPoint(mapping=m, tau=ev.tau, aging=ev.aging)
-           for m in mappings for ev in (ctx.evaluate(m),)]
+           for m, ev in zip(mappings, evaluations)]
     front = [
         p for p in pts
         if not any(q.tau <= p.tau and q.aging <= p.aging
@@ -304,10 +330,10 @@ def _reference_pareto(mappings, ctx):
     return ParetoFront(points=tuple(front))
 
 
-def _orbit(assignment, hw):
-    """Every image of one assignment under the mesh's isometries, taken from
-    the timing tests' independent construction of the group."""
-    return {tuple(perm[list(assignment)].tolist()) for perm in _mesh_automorphisms(*hw.mesh)}
+def _orbit(assignment, group):
+    """Every image of one assignment under group, the mesh's isometries from
+    the timing tests' independent construction, _mesh_automorphisms(*hw.mesh)."""
+    return {tuple(perm[list(assignment)].tolist()) for perm in group}
 
 
 def _assert_matches_reference(workload, hw, perf=PerfParams()):
@@ -319,14 +345,15 @@ def _assert_matches_reference(workload, hw, perf=PerfParams()):
         m.assignment for m in mappings]
 
     want = [ref_ctx.evaluate(m) for m in mappings]
-    ref_map, ref_ev = _reference_optimum(mappings, ref_ctx)
-    ref_front = _reference_pareto(mappings, ref_ctx)
+    ref_map, ref_ev = _reference_optimum(mappings, want)
+    ref_front = _reference_pareto(mappings, want)
     # The table holds the smallest member of each orbit under the mesh's
     # isometries, in lexicographic order, and evaluates nothing else.
+    group = _mesh_automorphisms(*hw.mesh)
     canonical = [i for i, m in enumerate(mappings)
-                 if m.assignment == min(_orbit(m.assignment, hw))]
+                 if m.assignment == min(_orbit(m.assignment, group))]
     # The default blocks hold every small instance whole; 16-cell blocks split
-    # both the objective table and the dominance filter into many blocks.
+    # the objective table into many blocks.
     # The table goes through evaluate_rows, one call per block, and the
     # optimum's evaluation is read from it: evaluate is never called.
     for block_cells in (oracle_module._BLOCK_CELLS, 16):
@@ -410,12 +437,54 @@ def test_objective_table_keeps_one_row_per_orbit(instance):
     rows, ev = _objective_table(workload.snn, hw, ctx)
     index = {tuple(r): i for i, r in enumerate(rows.tolist())}
     assert len(index) == len(rows)
+    group = _mesh_automorphisms(*hw.mesh)
     for m in enumerate_mappings(workload.snn, hw):
-        orbit = _orbit(m.assignment, hw)
+        orbit = _orbit(m.assignment, group)
         (canonical,) = orbit & index.keys()  # exactly one canonical row
         assert canonical == min(orbit)
         i = index[canonical]
         assert ref_ctx.evaluate(m) == (ev.tau[i], ev.aging[i], ev.lam[i])
+
+
+def _ring_of_seven(num_tiles, mesh, capacity, hop_latency, seed=5):
+    """Seven clusters on a ring, with random edge spike counts and trains."""
+    rng = np.random.default_rng(seed)
+    ids = list("abcdefg")
+    edges = [Edge(ids[i], ids[(i + 1) % 7], int(rng.integers(60, 140))) for i in range(7)]
+    trains = {c: SpikeTrain(np.sort(rng.integers(0, 400, int(rng.integers(60, 140))) / 400.0))
+              for c in ids}
+    snn = ClusteredSnn([Cluster(c, 4, 8) for c in ids], edges, 1.0)
+    hw = HardwareConfig(num_tiles=num_tiles, crossbar_dim=64, mesh=mesh,
+                        device_profile=DeviceProfile(kind="diode_1D1R"), tile_capacity=capacity)
+    return Workload(snn=snn, trains=trains), hw, PerfParams(hop_latency=hop_latency)
+
+
+@pytest.mark.parametrize("num_tiles, mesh, capacity, hop_latency, count, points, pairs, digest", [
+    # every tile hosts one cluster, so aging is the same everywhere
+    (9, (3, 3), 1, 1e-7, 181_440, 96, 1,
+     "bfd835419699c3cbe9b2f1e664f7451a0a4c1940814e012b25098ee8165dd317"),
+    # no hop latency: tau is the busiest tile's load, so ties are common
+    (6, (3, 2), 2, 0.0, 128_520, 3600, 5,
+     "2c53fcd87dd8fbb19f07b16909f9a45e7166509ba678789673d2b68caa0f912a"),
+], ids=["3x3-capacity-1", "3x2-capacity-2-no-hops"])
+def test_oracle_outputs_at_scale_are_pinned(num_tiles, mesh, capacity, hop_latency, count,
+                                            points, pairs, digest):
+    # Instances far past the scalar reference's reach: the optimum and the
+    # front, bit for bit, must not move when the oracle's code does.
+    workload, hw, perf = _ring_of_seven(num_tiles, mesh, capacity, hop_latency)
+    snn = workload.snn
+    ctx = EvalContext(workload, hw, AgingParams(), perf)
+    assert count_feasible_mappings(len(snn.clusters), num_tiles, capacity) == count
+    table = _objective_table(snn, hw, ctx)
+    opt = brute_force_optimum(snn, hw, ctx, table=table)
+    front = brute_force_pareto(snn, hw, ctx, table=table)
+    assert len(front.points) == points
+    assert len({(p.tau, p.aging) for p in front.points}) == pairs
+    h = hashlib.sha256()
+    for m, tau, aging in [(opt.mapping, opt.evaluation.tau, opt.evaluation.aging)] + [
+            (p.mapping, p.tau, p.aging) for p in front.points]:
+        h.update(f"{m.assignment} {tau.hex()} {aging.hex()}\n".encode())
+    assert h.hexdigest() == digest
 
 
 def test_many_clusters_on_one_tile():
