@@ -15,20 +15,24 @@ carries no pulses is unstressed and does not age.
 
 Two paths compute a tile's mechanism agings. hosted_set_mechanism_agings, the
 kernel that search and reports call, works directly on the pulse runs and idle
-gaps of the union in one NumPy pass. The trace path (build_voltage_trace, then
-tddb_aging / nbti_aging / hci_aging on the VoltageTrace) is its reference: the
-kernel evaluates the same per-segment terms and sums them with the same exactly
-rounded fsum, so the two agree bit for bit. reliability_at also takes a trace.
+gaps of the union in one NumPy pass, and hands each mechanism's terms to fsum
+as a memoryview of one float64 array. The trace path (build_voltage_trace,
+then tddb_aging / nbti_aging / hci_aging on the VoltageTrace) is its
+reference, and keeps its plain fsum over a list: the kernel evaluates the same
+per-segment terms and fsum rounds their sum exactly in any order, so the two
+agree bit for bit. reliability_at also takes a trace.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .model import (
+    DeviceProfile,
     HardwareConfig,
     Mapping,
     VoltageTrace,
@@ -210,21 +214,6 @@ def _strain_aging(trace: VoltageTrace, temperature: float, g: NbtiParams,
     return math.fsum(terms.tolist())
 
 
-def _run_strain_aging(runs: tuple[tuple[float, np.ndarray], ...], temperature: float,
-                      g: NbtiParams, t_ref: float) -> float:
-    """_strain_aging over (voltage, durations) groups of pulse runs and idle
-    gaps. Runs and gaps alternate, so there is nothing to coalesce."""
-    if g.g0 == 0.0:
-        return 0.0
-    terms: list[float] = []
-    for v, durations in runs:
-        over = v - g.v_threshold
-        if over > 0.0:
-            terms += _strain_terms(np.asarray([over]), durations, temperature, g,
-                                   t_ref).tolist()
-    return math.fsum(terms)
-
-
 def nbti_aging(trace: VoltageTrace, temperature: float, p: AgingParams) -> float:
     """Bias-instability aging of one trace."""
     if temperature <= 0.0:
@@ -336,9 +325,12 @@ def hosted_set_mechanism_agings(
 
     Works on pulse runs (maximal overlapping or touching pulses, truncated at
     the window) and the idle gaps between them, in one NumPy pass. These are
-    exactly the segments of build_voltage_trace's waveform of the union, so the
-    result is bit-identical to tddb_aging / nbti_aging / hci_aging on that
-    trace, the reference this kernel is tested against.
+    exactly the segments of build_voltage_trace's waveform of the union. Each
+    mechanism's terms, the trace path's terms in another order, are one
+    float64 array that math.fsum reads through a memoryview; fsum rounds
+    exactly in any order, so the result is bit-identical to tddb_aging /
+    nbti_aging / hci_aging on that trace, the reference this kernel is tested
+    against.
     """
     if not members:
         return (0.0, 0.0, 0.0)
@@ -346,41 +338,87 @@ def hosted_set_mechanism_agings(
     sources: set[int] = set(members)
     for ci in members:
         sources |= snn.predecessor_sets[ci]
-    times = np.unique(np.concatenate(
+    # Each train is sorted. A time that repeats across trains is left in: the
+    # pulse at its second copy starts no later than the first one ends, so it
+    # never starts a run and the runs below are those of the distinct times.
+    times = np.concatenate(
         [workload.trains[snn.clusters[ci].id].times for ci in sorted(sources)]
-    ))
+    )
     if times.size == 0:
         return (0.0, 0.0, 0.0)
+    times.sort()
     window = snn.workload_window
     if times[-1] >= window:
         raise ValueError("spike times must lie within [0, window)")
 
     profile = hw.device_profile
-    hi = np.minimum(times + profile.spike_pulse_width, window)
+    hi = times + profile.spike_pulse_width
+    np.minimum(hi, window, out=hi)
     # A pulse joins the run before it unless it starts after that run's end;
     # pulse ends are non-decreasing, so a run ends where its last pulse ends.
-    breaks = np.flatnonzero(times[1:] > hi[:-1])
-    starts = times[np.concatenate(([0], breaks + 1))]
-    ends = hi[np.concatenate((breaks, [times.size - 1]))]
+    edge = np.empty(times.size, dtype=bool)
+    edge[0] = True
+    np.greater(times[1:], hi[:-1], out=edge[1:])  # first pulse of each run
+    starts = times[edge]
+    edge[:-1] = edge[1:]
+    edge[-1] = True  # last pulse of each run
+    ends = hi[edge]
     active = ends - starts
-    if np.any(active <= 0.0):
+    if active.min() <= 0.0:
         raise ValueError("segment durations must be > 0")
+    # One array of segment durations: the pulse runs, then the idle gaps.
     # Gaps between runs are always > 0; the leading and trailing gaps only
     # exist when the first run starts after 0 or the last ends before window.
-    idle = np.concatenate((starts[1:] - ends[:-1], [starts[0], window - ends[-1]]))
-    idle = idle[idle > 0.0]
+    runs = active.size
+    segments = np.concatenate((active, starts[1:] - ends[:-1],
+                               [g for g in (starts[0], window - ends[-1]) if g > 0.0]))
 
-    temperature = hw.temperature
-    a_active, a_idle = _alpha_array(
+    (a_active, a_idle), strain = _run_constants(profile, hw.temperature, p)
+    tddb = segments / a_idle
+    np.divide(active, a_active, out=tddb[:runs])
+    return (math.fsum(memoryview(tddb)), *(
+        _run_strain_sum(segments, runs, n, c_active, c_idle)
+        for n, c_active, c_idle in strain
+    ))
+
+
+@lru_cache(maxsize=16)
+def _run_constants(profile: DeviceProfile, temperature: float, p: AgingParams):
+    """The kernel's per-voltage constants, once per (device, temperature,
+    parameters): alpha at (v_active, v_idle), and for NBTI and HCI (n, c at
+    v_active, c at v_idle) with c = g0(T) (V - v_threshold)^m as _strain_terms
+    evaluates it. c is None where V - v_threshold <= 0 or the mechanism is off
+    or has g0 = 0. Raises OverflowError where strain_prefactor does."""
+    alphas = tuple(_alpha_array(
         np.asarray([profile.v_active, profile.v_idle]), temperature, p.tddb
-    ).tolist()
-    runs = ((profile.v_active, active), (profile.v_idle, idle))
-    return (
-        math.fsum((active / a_active).tolist() + (idle / a_idle).tolist()),
-        _run_strain_aging(runs, temperature, p.nbti, p.tddb.t_ref),
-        _run_strain_aging(runs, temperature, p.hci, p.tddb.t_ref)
-        if p.hci.enabled else 0.0,
-    )
+    ).tolist())
+    strain = []
+    for g, on in ((p.nbti, True), (p.hci, p.hci.enabled)):
+        coefficients = [None, None]
+        if on and g.g0 != 0.0:
+            for i, v in enumerate((profile.v_active, profile.v_idle)):
+                if v - g.v_threshold > 0.0:
+                    coefficients[i] = (strain_prefactor(g, temperature, p.tddb.t_ref)
+                                       * np.asarray([v - g.v_threshold]) ** g.m).item()
+        strain.append((g.n, *coefficients))
+    return alphas, tuple(strain)
+
+
+def _run_strain_sum(segments: np.ndarray, runs: int, n: float,
+                    c_active: float | None, c_idle: float | None) -> float:
+    """fsum of c d^n over the pulse runs (the first `runs` segments, c_active)
+    and the idle gaps (c_idle), skipping a c of None; c_idle is None whenever
+    c_active is, since v_active > v_idle. Runs and gaps alternate, so there is
+    nothing to coalesce."""
+    if c_active is None:
+        return 0.0
+    if c_idle is None:
+        terms = segments[:runs] ** n
+    else:
+        terms = segments ** n
+        terms[runs:] *= c_idle
+    terms[:runs] *= c_active
+    return math.fsum(memoryview(terms))
 
 
 def _tile_mechanism_agings(

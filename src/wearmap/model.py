@@ -188,9 +188,15 @@ class SpikeTrain:
     times: np.ndarray
 
     def __init__(self, times: Iterable[float]) -> None:
-        arr = np.unique(np.asarray(list(times), dtype=np.float64))
-        if arr.size and arr[0] < 0.0:
-            raise ValueError("spike times must be >= 0")
+        arr = np.sort(np.asarray(list(times), dtype=np.float64))
+        if arr.size:
+            if np.isnan(arr[-1]):  # NaN sorts last
+                raise ValueError("spike times must not be NaN")
+            if arr[0] < 0.0:
+                raise ValueError("spike times must be >= 0")
+            keep = np.ones(arr.size, dtype=bool)
+            np.not_equal(arr[1:], arr[:-1], out=keep[1:])
+            arr = arr[keep]
         arr.flags.writeable = False
         object.__setattr__(self, "times", arr)
 

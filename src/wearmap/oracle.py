@@ -119,7 +119,7 @@ def _mesh_isometries(hw: HardwareConfig) -> np.ndarray:
     maps = [y * width + x, y * width + rx, ry * width + x, ry * width + rx]
     if width == height:
         maps += [x * width + y, x * width + ry, rx * width + y, rx * width + ry]
-    return np.unique(np.stack(maps), axis=0)
+    return np.array(sorted({tuple(m.tolist()) for m in maps}))
 
 
 def _orbit_minima(rows: np.ndarray, group: np.ndarray) -> np.ndarray:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -246,6 +247,13 @@ def _ring_walk(tile: int, mesh: tuple[int, int]):
                 yield y * width + x0 + dx
 
 
+@lru_cache(maxsize=16)
+def _ring_orders(mesh: tuple[int, int]) -> dict[int, tuple[list[int], Iterator[int]]]:
+    """tile -> (its ring order so far, the _ring_walk that extends it), shared
+    by every repair_rows call on mesh."""
+    return {}
+
+
 def repair_rows(bits: np.ndarray, pref: np.ndarray, hw: HardwareConfig) -> np.ndarray:
     """Project a batch of (n, C, T) cluster-by-tile matrices onto feasible
     assignments, returned as an (n, C) int64 array.
@@ -256,12 +264,12 @@ def repair_rows(bits: np.ndarray, pref: np.ndarray, hw: HardwareConfig) -> np.nd
     to the first tile with room in (manhattan hops, index) order, found by a
     ring walk out from the overloaded tile. A tile that is not overloaded at
     the start never becomes so, and one walk serves all of a tile's evictions,
-    because the tiles it passes stay full. Within one call, the ring order of
-    each overloaded tile is kept as a list that every particle overflowing
-    that tile reads and extends from the same walk, so it grows only as far
-    as some particle went; nothing outlives the call. Only particles with an
-    overloaded tile enter that Python loop. The caller guarantees
-    C <= total capacity.
+    because the tiles it passes stay full. The ring order of each overloaded
+    tile is kept per mesh (_ring_orders) as a list that every particle
+    overflowing that tile, in this call or a later one, reads and extends from
+    the same walk, so it grows only as far as some particle went. Only
+    particles with an overloaded tile enter that Python loop. The caller
+    guarantees C <= total capacity.
     """
     nonzero = np.asarray(bits) != 0
     rows = np.where(nonzero.sum(axis=2) == 1, nonzero.argmax(axis=2),
@@ -270,7 +278,7 @@ def repair_rows(bits: np.ndarray, pref: np.ndarray, hw: HardwareConfig) -> np.nd
     cap = hw.tile_capacity
     offsets = rows + num_tiles * np.arange(n)[:, None]
     loads = np.bincount(offsets.ravel(), minlength=n * num_tiles).reshape(n, num_tiles)
-    rings: dict[int, tuple[list[int], Iterator[int]]] = {}  # tile -> (order so far, walk)
+    rings = _ring_orders(hw.mesh)
     for i in np.flatnonzero((loads > cap).any(axis=1)).tolist():
         row, load = rows[i].tolist(), loads[i].tolist()
         leaving: dict[int, list[int]] = {}  # overloaded tile -> clusters, highest first

@@ -5,6 +5,7 @@ rather than by calling back into the module under test.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -670,20 +671,91 @@ def _hosted_set_case(draw):
     return wl, frozenset(members), hw, p
 
 
+def _kernel_and_trace_path(wl, members, hw, p):
+    """(kernel outcome, trace-path outcome): the mechanism agings, or the type
+    of the error raised on the way to them."""
+    def outcome(f):
+        try:
+            with np.errstate(all="ignore"):
+                return f()
+        except (ValueError, OverflowError) as e:
+            return type(e)
+
+    sources = {wl.snn.clusters[i].id for i in members}
+    sources |= {e.src for e in wl.snn.edges if e.dst in sources}
+    # np.unique, not SpikeTrain, so that the reference keeps its own dedupe.
+    union = SimpleNamespace(times=np.unique(
+        np.concatenate([wl.trains[c].times for c in sorted(sources)])))
+
+    def trace_path():
+        if union.times.size == 0:
+            return (0.0, 0.0, 0.0)
+        tr = build_voltage_trace(union, hw.device_profile, wl.snn.workload_window)
+        t = hw.temperature
+        return (tddb_aging(tr, t, p), nbti_aging(tr, t, p), hci_aging(tr, t, p))
+
+    return (outcome(lambda: hosted_set_mechanism_agings(members, wl, hw, p)),
+            outcome(trace_path))
+
+
 @settings(max_examples=200, deadline=None)
 @given(_hosted_set_case())
 def test_kernel_is_bit_identical_to_trace_path(case):
-    wl, members, hw, p = case
-    sources = {wl.snn.clusters[i].id for i in members}
-    sources |= {e.src for e in wl.snn.edges if e.dst in sources}
-    union = SpikeTrain(np.concatenate([wl.trains[c].times for c in sorted(sources)]))
-    got = hosted_set_mechanism_agings(members, wl, hw, p)
-    if len(union) == 0:
-        assert got == (0.0, 0.0, 0.0)
-        return
-    tr = build_voltage_trace(union, hw.device_profile, wl.snn.workload_window)
-    t = hw.temperature
-    assert got == (tddb_aging(tr, t, p), nbti_aging(tr, t, p), hci_aging(tr, t, p))
+    got, want = _kernel_and_trace_path(*case)
+    assert isinstance(got, tuple) and got == want
+
+
+def _two_cluster_case(times_a, times_b, pulse=1e-3, **aging):
+    wl = Workload(snn=ClusteredSnn([Cluster("a", 4, 8), Cluster("b", 4, 8)],
+                                   [Edge("a", "b", 1)], 1.0),
+                  trains={"a": SpikeTrain(times_a), "b": SpikeTrain(times_b)})
+    profile = DeviceProfile(kind="diode_1D1R", spike_pulse_width=pulse)
+    hw = _hw(profile=profile, num_tiles=1, tile_capacity=2, temperature=350.0)
+    p = AgingParams(**aging)
+    return wl, frozenset({1}), hw, p
+
+
+_TRAIN = [0.1, 0.1005, 0.2, 0.2 + 1e-3, 0.5, 0.9995]
+
+
+@pytest.mark.parametrize("a", [5e-324, 1e-310, 1e-306, 1e-303, 1e-300])
+def test_kernel_matches_trace_path_when_tddb_terms_leave_the_floats(a):
+    # A tiny tddb.a makes alpha subnormal or 0: the terms go to inf, or stay
+    # finite with a sum past the floats.
+    case = _two_cluster_case(_TRAIN, [0.3, 0.7], tddb=TddbParams(a=a))
+    got, want = _kernel_and_trace_path(*case)
+    assert got == want
+
+
+@pytest.mark.parametrize("nbti, hci", [
+    (NbtiParams(ea=1e3), HciParams()),  # g0(T) overflows: OverflowError
+    (NbtiParams(g0=1e300, ea=10.0), HciParams()),  # g0 * the factor rounds to inf
+    (NbtiParams(m=1e3, v_threshold=0.5), HciParams()),  # (V - v_threshold)^m is inf
+    (NbtiParams(), HciParams(enabled=True, ea=1e3)),  # HCI's g0(T) overflows
+    (NbtiParams(g0=0.0, ea=1e3), HciParams(enabled=True, g0=0.0, ea=1e3)),  # no strain
+])
+def test_kernel_matches_trace_path_when_strain_prefactor_overflows(nbti, hci):
+    case = _two_cluster_case(_TRAIN, [0.3, 0.7], nbti=nbti, hci=hci)
+    got, want = _kernel_and_trace_path(*case)
+    assert got == want
+
+
+@pytest.mark.parametrize("times_a, times_b, pulse", [
+    ([0.1, 0.2, 0.5], [0.1, 0.2, 0.5], 1e-3),  # every spike on both trains
+    ([0.1, 0.3], [0.1, 0.3, 0.6], 1e-3),  # some spikes on both trains
+    ([0.0, 0.25, 0.5, 0.75], [0.125, 0.375, 0.625, 0.875], 0.125),  # pulses touch
+    ([0.0, 0.25], [0.25, 0.5], 0.25),  # touching and repeated, from time 0
+    ([0.9], [0.9, 0.95], 0.25),  # the run is cut at the window end
+    ([], [0.4], 1e-3),  # one train empty
+    ([], [], 1e-3),  # every train empty
+])
+def test_kernel_matches_trace_path_on_duplicate_touching_and_empty_trains(
+        times_a, times_b, pulse):
+    hci = HciParams(enabled=True, v_threshold=1.0)  # v_idle stresses too
+    case = _two_cluster_case(times_a, times_b, pulse=pulse, hci=hci)
+    got, want = _kernel_and_trace_path(*case)
+    assert got == want
+    assert isinstance(got, tuple) and (got == (0.0, 0.0, 0.0)) == (not times_a + times_b)
 
 
 def test_kernel_keeps_trace_path_failures():

@@ -5,6 +5,8 @@ import hashlib
 import json
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 from unittest.mock import patch
 
@@ -926,6 +928,24 @@ def test_cli_verify_enumerates_the_feasible_set_once(tmp_path, capsys):
                      "--output", str(tmp_path / "out")]) == 0
     capsys.readouterr()
     assert tables.call_count == 1
+
+
+def _loads_numpy_ma(code: str) -> bool:
+    """Whether running code in a fresh interpreter leaves numpy.ma imported."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = f"import sys; sys.path.insert(0, {src!r})\n{code}\nprint('numpy.ma' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         timeout=120, check=True)
+    return run.stdout.splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize("cmd", ["map", "verify"])
+def test_cli_command_does_not_import_numpy_ma(tmp_path, cmd):
+    # A plain np.unique imports numpy.ma, a large package, in NumPy 2. Older
+    # NumPy versions import it with numpy itself.
+    argv = [cmd, "--config", str(_BASELINE), "--output", str(tmp_path / "out")]
+    loaded = _loads_numpy_ma(f"import wearmap.cli\nwearmap.cli.main({argv!r})")
+    assert not loaded or _loads_numpy_ma("import numpy")
 
 
 def test_cli_sweep_plot_data_matches_norm_columns(tmp_path):

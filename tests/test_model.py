@@ -190,6 +190,13 @@ def test_spike_train_rejects_negative_times():
         SpikeTrain([-0.1])
 
 
+@pytest.mark.parametrize("times", [[math.nan], [0.1, math.nan, 0.2], [math.nan, math.nan]])
+def test_spike_train_rejects_nan_times(times):
+    # A merge of repeated NaNs into one would pass a NaN on to the kernel.
+    with pytest.raises(ValueError, match="NaN"):
+        SpikeTrain(times)
+
+
 # ---------------------------------------------------------------- voltage traces
 
 

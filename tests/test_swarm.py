@@ -50,7 +50,7 @@ from wearmap.swarm import (
     select_final,
     step_swarm,
 )
-from wearmap.swarm import _corners, _ring_walk, _sigmoid, _update
+from wearmap.swarm import _corners, _ring_orders, _ring_walk, _sigmoid, _update
 
 
 def _hw(num_tiles=4, tile_capacity=1, mesh=None):
@@ -550,6 +550,21 @@ def test_repair_rows_many_particles_overflow_one_tile():
         assert repair(bits[i], hw, np.random.default_rng(0), pref=pref[i]).assignment \
             == tuple(row)
         assert tuple(row) == _reference_repair(bits[i], hw, pref[i])
+
+
+def test_repair_rows_keeps_ring_orders_across_calls():
+    # The centre's ring order outlives a call, grows only as far as the
+    # deepest walk so far, and later calls, shallower or deeper, read it.
+    hw = _hw(num_tiles=25, tile_capacity=1, mesh=(5, 5))
+    _ring_orders.cache_clear()
+    for depth, walked in ((3, 3), (1, 3), (6, 6), (2, 6)):
+        bits = np.zeros((1, depth + 1, 25), dtype=np.int64)
+        bits[0, :, 12] = 1  # `depth` clusters too many on the centre
+        pref = np.zeros(bits.shape)
+        row = repair_rows(bits, pref, hw)[0].tolist()
+        assert tuple(row) == _reference_repair(bits[0], hw, pref[0])
+        assert list(_ring_orders(hw.mesh)) == [12]
+        assert _ring_orders(hw.mesh)[12][0] == list(_ring_walk(12, hw.mesh))[:walked]
 
 
 # ---------------------------------------------------------------- stepping
