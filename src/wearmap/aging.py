@@ -15,12 +15,14 @@ carries no pulses is unstressed and does not age.
 
 Two paths compute a tile's mechanism agings. hosted_set_mechanism_agings, the
 kernel that search and reports call, works directly on the pulse runs and idle
-gaps of the union in one NumPy pass, and hands each mechanism's terms to fsum
-as a memoryview of one float64 array. The trace path (build_voltage_trace,
-then tddb_aging / nbti_aging / hci_aging on the VoltageTrace) is its
-reference, and keeps its plain fsum over a list: the kernel evaluates the same
-per-segment terms and fsum rounds their sum exactly in any order, so the two
-agree bit for bit. reliability_at also takes a trace.
+gaps of the union in one NumPy pass, and sums each mechanism's terms, one
+float64 array, with _exact_sum: two NumPy sums that are exact, whose one
+final addition rounds the total as fsum does. The trace path
+(build_voltage_trace, then tddb_aging / nbti_aging / hci_aging on the
+VoltageTrace) is its reference, and keeps its plain fsum over a list: the
+kernel evaluates the same per-segment terms, and both sums round the exact
+total of those terms once, in any order, so the two agree bit for bit.
+reliability_at also takes a trace.
 """
 
 from __future__ import annotations
@@ -327,10 +329,9 @@ def hosted_set_mechanism_agings(
     the window) and the idle gaps between them, in one NumPy pass. These are
     exactly the segments of build_voltage_trace's waveform of the union. Each
     mechanism's terms, the trace path's terms in another order, are one
-    float64 array that math.fsum reads through a memoryview; fsum rounds
-    exactly in any order, so the result is bit-identical to tddb_aging /
-    nbti_aging / hci_aging on that trace, the reference this kernel is tested
-    against.
+    float64 array that _exact_sum rounds as fsum does, exactly in any order,
+    so the result is bit-identical to tddb_aging / nbti_aging / hci_aging on
+    that trace, the reference this kernel is tested against.
     """
     if not members:
         return (0.0, 0.0, 0.0)
@@ -376,7 +377,7 @@ def hosted_set_mechanism_agings(
     (a_active, a_idle), strain = _run_constants(profile, hw.temperature, p)
     tddb = segments / a_idle
     np.divide(active, a_active, out=tddb[:runs])
-    return (math.fsum(memoryview(tddb)), *(
+    return (_exact_sum(tddb), *(
         _run_strain_sum(segments, runs, n, c_active, c_idle)
         for n, c_active, c_idle in strain
     ))
@@ -406,10 +407,10 @@ def _run_constants(profile: DeviceProfile, temperature: float, p: AgingParams):
 
 def _run_strain_sum(segments: np.ndarray, runs: int, n: float,
                     c_active: float | None, c_idle: float | None) -> float:
-    """fsum of c d^n over the pulse runs (the first `runs` segments, c_active)
-    and the idle gaps (c_idle), skipping a c of None; c_idle is None whenever
-    c_active is, since v_active > v_idle. Runs and gaps alternate, so there is
-    nothing to coalesce."""
+    """The exact sum (_exact_sum) of c d^n over the pulse runs (the first
+    `runs` segments, c_active) and the idle gaps (c_idle), skipping a c of
+    None; c_idle is None whenever c_active is, since v_active > v_idle. Runs
+    and gaps alternate, so there is nothing to coalesce."""
     if c_active is None:
         return 0.0
     if c_idle is None:
@@ -418,6 +419,41 @@ def _run_strain_sum(segments: np.ndarray, runs: int, n: float,
         terms = segments ** n
         terms[runs:] *= c_idle
     terms[:runs] *= c_active
+    return _exact_sum(terms)
+
+
+def _exact_sum(terms: np.ndarray) -> float:
+    """math.fsum of a non-empty float64 array, bit for bit, from two NumPy
+    sums that are exact (exponent-binned summation, Demmel & Hida, SIAM J.
+    Sci. Comput. 2003).
+
+    For n terms let limb = 53 - n.bit_length(), and let 2^e be the last bit of
+    the smallest term. In units of 2^e every term is an integer, and when the
+    terms span at most 2 limb binades each is below 2^(2 limb): it splits
+    exactly into a high part, a multiple of 2^limb units, and a low part below
+    2^limb units. In either limb every partial sum is a multiple of the limb's
+    unit below 2^53 of them, so np.sum adds it exactly in any order, and the
+    one addition of the two limb sums rounds the exact total once, half to
+    even, as fsum does. Anything else goes to fsum itself, so that its values
+    and errors stay fsum's: a term that is not a positive normal float (zero,
+    negative, subnormal, inf or NaN), a wider span, or a sum that may
+    overflow.
+    """
+    bits = terms.size.bit_length()
+    limb = 53 - bits
+    lo, hi = terms.min(), terms.max()
+    if lo > 0.0 and hi < math.inf:
+        e = math.frexp(lo)[1] - 53
+        top = math.frexp(hi)[1]
+        if e >= -1074 and top - e <= 2 * limb and top + bits <= 1023:
+            parts = np.empty((2, terms.size))
+            high = parts[1]
+            np.ldexp(terms, -e - limb, out=high)
+            np.floor(high, out=high)
+            np.ldexp(high, e + limb, out=high)
+            np.subtract(terms, high, out=parts[0])
+            low_sum, high_sum = parts.sum(axis=1).tolist()
+            return low_sum + high_sum
     return math.fsum(memoryview(terms))
 
 

@@ -79,11 +79,37 @@ def _get(d: dict, key: str, path: str, parse):
     return parse(d[key], f"{path}.{key}")
 
 
+def _not_a_number(val, message: str) -> ConfigError:
+    """The error for a value that is not a YAML number. A string that float()
+    reads as a finite number is named, since PyYAML leaves 1e-4, 1.0e7 and
+    1E+7 as strings; where it has an exponent, the error shows the form YAML
+    reads as a float."""
+    try:
+        finite = isinstance(val, str) and math.isfinite(float(val))
+    except ValueError:
+        finite = False
+    if not finite:
+        return ConfigError(message)
+    message = f"{message}, got the string {val!r}"
+    text = val.strip()
+    i = max(text.find("e"), text.find("E"))
+    if i >= 0:
+        mantissa, exponent = text[:i], text[i + 1:]
+        sign = mantissa[:1] if mantissa[:1] in ("+", "-") else ""
+        digits = mantissa[len(sign):]
+        digits = ("0" if digits.startswith(".") else "") + digits + ("" if "." in digits else ".0")
+        exponent = ("" if exponent[:1] in ("+", "-") else "+") + exponent
+        form = f"{sign}{digits}{text[i]}{exponent}"
+        if form != text:  # otherwise only the quotes kept it a string
+            message += f" (YAML needs a decimal point and a signed exponent, as in {form})"
+    return ConfigError(message)
+
+
 def _number(val, where: str) -> float:
     """A YAML number as float. NaN is refused: no field has a meaning for it,
     and it slips through every ordering check downstream."""
     if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{where}: expected a number")
+        raise _not_a_number(val, f"{where}: expected a number")
     if math.isnan(val):
         raise ConfigError(f"{where}: expected a number, got NaN")
     return float(val)
@@ -100,7 +126,7 @@ def _rate(val, path: str) -> float | list[float]:
     if isinstance(val, list):
         return _number_list(val, path)
     if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{path}: expected a number or list of numbers")
+        raise _not_a_number(val, f"{path}: expected a number or list of numbers")
     return _number(val, path)
 
 

@@ -4,7 +4,9 @@ Expected values are computed by independent inline oracles (plain math formulas)
 rather than by calling back into the module under test.
 """
 
+import hashlib
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wearmap.aging as aging_module
 from wearmap.aging import (
     BOLTZMANN_EV,
     AgingParams,
@@ -19,6 +22,7 @@ from wearmap.aging import (
     HciParams,
     NbtiParams,
     TddbParams,
+    _exact_sum,
     alpha,
     calibrate_baseline,
     combine_aging,
@@ -41,9 +45,11 @@ from wearmap.model import (
     SpikeTrain,
     VoltageTrace,
     Workload,
+    WorkloadShape,
     build_voltage_trace,
     concat_traces,
     first_fit_mapping,
+    generate_poisson_workload,
 )
 
 YEAR = 365 * 24 * 3600.0
@@ -771,6 +777,165 @@ def test_kernel_keeps_trace_path_failures():
     late = Workload(snn=snn, trains={"a": SpikeTrain([0.5, 2.0])})
     with pytest.raises(ValueError, match=r"\[0, window\)"):
         hosted_set_mechanism_agings({0}, late, _hw(num_tiles=1), _params())
+
+
+# ---------------------------------------------------------------- exact sum
+
+
+def _sum_outcome(f, terms):
+    """f(terms).hex(), or the type of the error f raises."""
+    try:
+        return f(terms).hex()
+    except (ValueError, OverflowError) as e:
+        return type(e)
+
+
+def _assert_sums_like_fsum(terms):
+    assert (_sum_outcome(_exact_sum, np.array(terms, dtype=np.float64))
+            == _sum_outcome(math.fsum, terms))
+
+
+@st.composite
+def _positive_terms(draw):
+    """1-300 positive floats with full 53-bit mantissas, spanning 0-60
+    binades around a random exponent, repeats included."""
+    n = draw(st.integers(1, 300))
+    base = draw(st.integers(-1000, 960))
+    spread = draw(st.integers(0, 60))
+    mantissas = st.floats(0.5, 1.0, exclude_max=True)
+    pool = [math.ldexp(draw(mantissas), base + draw(st.integers(0, spread)))
+            for _ in range(draw(st.integers(1, min(n, 40))))]
+    return [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_positive_terms())
+def test_exact_sum_equals_fsum(terms):
+    _assert_sums_like_fsum(terms)
+
+
+def _with_ties(bulk, floor):
+    """bulk plus one term t >= floor that puts the exact total halfway between
+    two adjacent floats, once for each parity of the lower one."""
+    total = sum(map(Fraction, bulk))
+    low = math.nextafter(math.fsum(bulk + [floor]), math.inf)
+    for _ in range(2):
+        high = math.nextafter(low, math.inf)
+        t = (Fraction(low) + Fraction(high)) / 2 - total
+        assert t >= floor and Fraction(float(t)) == t  # t is a float
+        yield bulk + [float(t)]
+        low = high
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 200), st.integers(2 ** 52, 2 ** 53 - 1),
+       st.integers(0, 40), st.integers(-1000, 900))
+def test_exact_sum_rounds_halfway_totals_like_fsum(n, mantissa, spread, scale):
+    # n copies of one term, then the term that makes the total a tie
+    big = math.ldexp(mantissa, scale + spread)
+    for terms in _with_ties([big] * n, math.ldexp(1.0, scale + 52)):
+        total = sum(map(Fraction, terms))
+        got = _exact_sum(np.array(terms))
+        assert 2 * total == Fraction(got) + Fraction(math.nextafter(got, math.inf)) or \
+            2 * total == Fraction(got) + Fraction(math.nextafter(got, 0.0))
+        assert got.hex() == math.fsum(terms).hex()
+
+
+def _full_terms(n, span, scale=-40):
+    """n terms whose binades span exactly `span` from the last bit of the
+    smallest: n - 1 copies of the largest float below 2^span, with every bit
+    it can hold set, and a tie term in [2^52, 2^53) (in units of 2^scale).
+    At span 53 the copies fill the low limb, at 2 limb the high one."""
+    width = min(53, span)
+    top = math.ldexp(2 ** width - 1, scale + span - width)
+    cases = list(_with_ties([top] * (n - 1), math.ldexp(2.0 ** 52, scale)))
+    for terms in cases:
+        assert math.frexp(max(terms))[1] - math.frexp(min(terms))[1] == span - 53
+    return cases
+
+
+class _FsumSpy:
+    """Stands in for aging's math module and counts its fsum calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def fsum(self, terms):
+        self.calls += 1
+        return math.fsum(terms)
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 15, 16, 17, 255, 256, 257, 4095, 4096, 4097])
+def test_exact_sum_at_the_limb_width_changes(monkeypatch, n):
+    # limb = 53 - n.bit_length() changes at n = 2^k: with n = 2^k - 1 full
+    # terms either limb's sum comes within n units of 2^53 units.
+    spy = _FsumSpy()
+    monkeypatch.setattr(aging_module, "math", spy)
+    for span in (53, 2 * (53 - n.bit_length())):
+        for terms in _full_terms(n, span):
+            _assert_sums_like_fsum(terms)
+    assert spy.calls == 0
+
+
+@pytest.mark.parametrize("n", [15, 16, 255, 4095])
+@pytest.mark.parametrize("extra, calls", [(0, 0), (1, 2)], ids=["2-limb", "2-limb-plus-1"])
+def test_exact_sum_at_the_widest_span(monkeypatch, n, extra, calls):
+    spy = _FsumSpy()
+    monkeypatch.setattr(aging_module, "math", spy)
+    for terms in _full_terms(n, 2 * (53 - n.bit_length()) + extra):
+        _assert_sums_like_fsum(terms)
+    assert spy.calls == calls  # one span past the limbs is fsum's
+
+
+@pytest.mark.parametrize("terms", [
+    [1.0, 0.0, 2.0],  # a zero term
+    [1.0, 5e-324, 3.0],  # a subnormal minimum
+    [2.2250738585072014e-308 / 2, 1e-300],  # the largest subnormal
+    [1.0, math.inf],
+    [math.inf, math.inf, 1.0],
+    [1.0, math.nan],
+    [1.7e308, 1.7e308],  # the sum overflows: OverflowError on both
+    [8.98e307, 8.98e307, 1.0],  # close to overflow, still finite
+    [-1.0, 2.0],  # a negative term
+], ids=["zero", "subnormal", "largest-subnormal", "inf", "inf-twice", "nan",
+        "overflow", "near-overflow", "negative"])
+def test_exact_sum_falls_back_to_fsum(monkeypatch, terms):
+    spy = _FsumSpy()
+    monkeypatch.setattr(aging_module, "math", spy)
+    _assert_sums_like_fsum(terms)
+    assert spy.calls == 1
+
+
+def _kernel_digest(p: AgingParams, sets: int = 300) -> str:
+    """SHA-256 over the kernel's (tddb, nbti, hci) of `sets` hosted sets of a
+    48-cluster Poisson instance, with rates log-uniform over 5-220 Hz: long
+    unions of thousands of pulse runs, which the Hypothesis cases never reach."""
+    rng = np.random.default_rng(48)
+    rates = np.exp(rng.uniform(math.log(5.0), math.log(220.0), 48))
+    wl = generate_poisson_workload(WorkloadShape(48, kind="random", edge_prob=0.0625),
+                                   rates, 1.0, 48)
+    hw = _hw(num_tiles=16, tile_capacity=4)
+    h = hashlib.sha256()
+    for _ in range(sets):
+        members = rng.choice(48, size=int(rng.integers(1, 5)), replace=False)
+        agings = hosted_set_mechanism_agings(frozenset(members.tolist()), wl, hw, p)
+        h.update(" ".join(a.hex() for a in agings).encode() + b"\n")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("p, digest", [
+    (AgingParams(), "329b6520919cadaf109d6deed9026c44101c2d5f13f875d5c223434d0f1f9a2f"),
+    # HCI on with v_threshold below v_idle = 1.8 V: the idle gaps stress too
+    (AgingParams(hci=HciParams(enabled=True, m=2.5, n=0.3, v_threshold=1.0)),
+     "2ed64ade838bf506edb1122efddc8fcf2db98784f645f8f361b5178bb879ee07"),
+], ids=["as-configured", "hci-idle-stressed"])
+def test_kernel_outputs_at_scale_are_pinned(p, digest):
+    # Sums of thousands of terms, bit for bit: they must not move when the
+    # kernel's summation does.
+    assert _kernel_digest(p) == digest
 
 
 # ---------------------------------------------------------------- calibration

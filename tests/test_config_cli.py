@@ -426,6 +426,30 @@ _MESSAGES = [
        id="workload_neither"),
     _P(_root(workload={"inline": {}, "poisson": {}}),
        "workload: exactly one of 'poisson' or 'inline' is required", id="workload_both"),
+    # PyYAML reads an exponent without a decimal point or a sign as a string
+    _P("epsilon: 1e-4\n" + BASE,
+       "config.epsilon: expected a number, got the string '1e-4' "
+       "(YAML needs a decimal point and a signed exponent, as in 1.0e-4)", id="epsilon_1e-4"),
+    _P(BASE + "aging: {tddb: {a: 1.0e7}}\n",
+       "aging.tddb.a: expected a number, got the string '1.0e7' "
+       "(YAML needs a decimal point and a signed exponent, as in 1.0e+7)", id="tddb_a_1.0e7"),
+    _P(BASE + "aging: {nbti: {g0: -.5E-4}}\n",
+       "aging.nbti.g0: expected a number, got the string '-.5E-4' "
+       "(YAML needs a decimal point and a signed exponent, as in -0.5E-4)", id="g0_-.5E-4"),
+    _P(_poisson("1E+2"),
+       "workload.poisson.rate: expected a number or list of numbers, got the string '1E+2' "
+       "(YAML needs a decimal point and a signed exponent, as in 1.0E+2)", id="rate_1E+2"),
+    _P(_poisson([1.0, "2e1"]),
+       "workload.poisson.rate[1]: expected a number, got the string '2e1' "
+       "(YAML needs a decimal point and a signed exponent, as in 2.0e+1)", id="rate_item_2e1"),
+    # a quoted number is a string in any form
+    _P("epsilon: '1.0e-4'\n" + BASE, "config.epsilon: expected a number, got the string '1.0e-4'",
+       id="epsilon_quoted_exponent"),
+    _P("epsilon: '0.5'\n" + BASE, "config.epsilon: expected a number, got the string '0.5'",
+       id="epsilon_quoted"),
+    _P("epsilon: '1e999'\n" + BASE, "config.epsilon: expected a number", id="epsilon_huge"),
+    _P(BASE.replace("b: [0.2, 0.5]", "b: [0.2, 'inf']"),
+       "workload.inline.trains.b[1]: expected a number", id="train_item_inf_string"),
 ]
 
 
@@ -583,6 +607,21 @@ def test_cli_non_finite_number_exits_2(tmp_path, capsys, text, field):
         code = main([command, "--config", str(p), "--output", str(tmp_path / command)])
         assert code == 2
         assert re.search(field, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("text", ["1e-4", "1.0e7", "1E+7", "-.5e3", "+2e-3", "5.e3", "1_0e2"])
+def test_yaml_exponent_hint_reads_as_the_same_float(text):
+    with pytest.raises(ConfigError) as e:
+        parse_run_config(f"epsilon: {text}\n" + BASE)
+    form = re.search(r"as in (\S+)\)$", str(e.value)).group(1)
+    assert yaml.safe_load(f"x: {form}") == {"x": float(text)}
+
+
+def test_cli_yaml_exponent_string_exits_2(tmp_path, capsys):
+    p = _write(tmp_path, "epsilon: 1e-4\n" + BASE)
+    code = main(["map", "--config", str(p), "--output", str(tmp_path / "out")])
+    assert code == 2
+    assert "as in 1.0e-4" in capsys.readouterr().err
 
 
 def test_cli_negative_seed_flag_exits_2(tmp_path, capsys):
