@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from typing import Collection
 
 import numpy as np
 
@@ -193,18 +194,12 @@ def strain_prefactor(g: NbtiParams, temperature: float, t_ref: float) -> float:
     return g.g0 * math.exp((g.ea / BOLTZMANN_EV) * (1.0 / t_ref - 1.0 / temperature))
 
 
-def _strain_terms(over: np.ndarray, durations: np.ndarray, temperature: float,
-                  g: NbtiParams, t_ref: float) -> np.ndarray:
-    """g0(T) (V - v_threshold)^m d^n per stressed segment. Both the trace path
-    and the pulse-run kernel evaluate this one expression."""
-    return strain_prefactor(g, temperature, t_ref) * over ** g.m * durations ** g.n
-
-
 def _strain_aging(trace: VoltageTrace, temperature: float, g: NbtiParams,
                   t_ref: float) -> float:
     """Shared NBTI/HCI kernel. Adjacent equal-voltage segments are coalesced
     first: the t^n law is sublinear, so segmentation would otherwise change
-    the result. Segments at or below v_threshold contribute nothing."""
+    the result. Segments at or below v_threshold contribute nothing; each
+    stressed segment adds g0(T) (V - v_threshold)^m d^n."""
     if g.g0 == 0.0 or len(trace) == 0:
         return 0.0
     merged = trace.merged()
@@ -212,7 +207,8 @@ def _strain_aging(trace: VoltageTrace, temperature: float, g: NbtiParams,
     mask = over > 0.0
     if not mask.any():
         return 0.0
-    terms = _strain_terms(over[mask], merged.durations[mask], temperature, g, t_ref)
+    terms = (strain_prefactor(g, temperature, t_ref) * over[mask] ** g.m
+             * merged.durations[mask] ** g.n)
     return math.fsum(terms.tolist())
 
 
@@ -313,7 +309,7 @@ class AgingReport:
 
 
 def hosted_set_mechanism_agings(
-    members: frozenset[int] | set[int],
+    members: Collection[int],
     workload: Workload,
     hw: HardwareConfig,
     p: AgingParams,
@@ -322,8 +318,8 @@ def hosted_set_mechanism_agings(
 
     The tile's circuits see the pulse union of the hosted clusters' spike
     trains and those of their predecessors (spikes arrive through the shared
-    drivers). Depends only on the member set, never on which tile hosts it, so
-    callers may cache on frozenset(members). No pulses means no stress.
+    drivers). Depends only on the member set, never on which tile hosts it,
+    so EvalContext caches it per set. No pulses means no stress.
 
     Works on pulse runs (maximal overlapping or touching pulses, truncated at
     the window) and the idle gaps between them, in one NumPy pass. These are
@@ -387,9 +383,10 @@ def hosted_set_mechanism_agings(
 def _run_constants(profile: DeviceProfile, temperature: float, p: AgingParams):
     """The kernel's per-voltage constants, once per (device, temperature,
     parameters): alpha at (v_active, v_idle), and for NBTI and HCI (n, c at
-    v_active, c at v_idle) with c = g0(T) (V - v_threshold)^m as _strain_terms
-    evaluates it. c is None where V - v_threshold <= 0 or the mechanism is off
-    or has g0 = 0. Raises OverflowError where strain_prefactor does."""
+    v_active, c at v_idle) with c = g0(T) (V - v_threshold)^m, the factor of
+    d^n in the trace path's _strain_aging. c is None where V - v_threshold
+    <= 0 or the mechanism is off or has g0 = 0. Raises OverflowError where
+    strain_prefactor does."""
     alphas = tuple(_alpha_array(
         np.asarray([profile.v_active, profile.v_idle]), temperature, p.tddb
     ).tolist())

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator
 
 import numpy as np
 
@@ -99,13 +98,6 @@ def _assignment_table(snn: ClusteredSnn, hw: HardwareConfig) -> np.ndarray:
             loads = loads[parent]
             loads[np.arange(tile.size), tile] += 1
     return rows
-
-
-def enumerate_mappings(snn: ClusteredSnn, hw: HardwareConfig) -> Iterator[Mapping]:
-    """Yield every feasible mapping exactly once, in lexicographic assignment
-    order. The guard and feasibility checks fire eagerly at call time."""
-    rows = _assignment_table(snn, hw)
-    return (Mapping(r) for r in rows.tolist())
 
 
 def _mesh_isometries(hw: HardwareConfig) -> np.ndarray:

@@ -15,13 +15,15 @@ velocity, which feeds both the bit draw (the one binarize also makes) and
 repair's preference, and one repair_rows over all particles. One update then
 evaluates the repaired rows with one EvalContext.evaluate_rows, the batch
 evaluator the oracle also calls, which returns float64 columns of tau
-(perf.execution_times), aging (worst_tile_agings, the one worst-tile aging
-path) and lambda; it archives them and updates the personal bests in one
-comparison. Initialization is that same update applied to the random
-starting corners as iteration 0, and evaluate is the validated one-mapping
-case. Python loops over particles only for the overloaded rows repair has to
-move and for the archive; the improved personal-best corners are written in
-one scatter. The front is one sweep over the archive sorted by (tau, aging).
+(perf.execution_times), aging (worst_tile_agings, which reads each tile's
+aging from a cache keyed by its hosted set's bitmask) and lambda; it
+archives them and updates the personal bests in one comparison.
+Initialization is that same update applied to the random starting corners
+as iteration 0, and evaluate is the validated one-mapping case. Python loops
+over particles only for the overloaded rows repair has to move and for the
+archive, and over hosted sets only for those not yet cached; the improved
+personal-best corners are written in one scatter. The front is one sweep
+over the archive sorted by (tau, aging).
 
 All randomness flows from one seeded generator, and best-updates reduce in
 particle-index order, so a run is a pure function of (instance, config).
@@ -32,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import filterfalse
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -59,12 +62,14 @@ def lambdas(tau: np.ndarray, aging: np.ndarray) -> np.ndarray:
 
 
 class EvalContext:
-    """Shared evaluation state: the instance, its parameters, and the per-set
-    tile aging cache.
+    """Shared evaluation state: the instance, its parameters, and the tile
+    aging cache.
 
-    Tile aging (the combined aging of the tile's mechanisms) is cached per
-    hosted cluster set, since a tile's stress trace depends only on who sits
-    on it (plus their predecessors), not on which tile it is. Evaluations
+    Tile aging (the combined aging of the tile's mechanisms) depends only on
+    the cluster set the tile hosts (whose trains, with their predecessors',
+    stress its circuits), never on which tile it is. So it is cached per
+    hosted set, keyed by the bytes of the set's cluster bitmask, and each set
+    is computed once for the search, evaluate and the oracle. Evaluations
     themselves are not stored: the swarm's archive is the only store.
 
     objective picks the scalar the swarm minimizes: "lambda" (tau * aging) or
@@ -86,51 +91,37 @@ class EvalContext:
         self.aging_params = aging_params
         self.perf_params = perf_params
         self.objective = objective
-        self._tile_cache: dict[frozenset[int], float] = {}
-
-    def tile_aging(self, members: frozenset[int]) -> float:
-        """Combined aging of a tile hosting exactly `members`, computed once
-        per set."""
-        a = self._tile_cache.get(members)
-        if a is None:
-            mech = hosted_set_mechanism_agings(
-                members, self.workload, self.hw, self.aging_params
-            )
-            a = combine_aging(mech[0], mech[1], mech[2], self.aging_params.tddb.beta)
-            self._tile_cache[members] = a
-        return a
+        # An empty tile does not age: the all-zero mask maps to 0.0.
+        self._tile_cache = {bytes(8 * -(-len(workload.snn.clusters) // 64)): 0.0}
 
     def worst_tile_agings(self, rows: np.ndarray) -> np.ndarray:
         """Aging of every row of an (n, C) array of tile indices (not validated
-        here): the largest tile_aging over its tiles, an empty tile counting as
-        0.0. Each (tile, row) cell's hosted set is a C-bit mask in ceil(C / 64)
-        uint64 words, so every cluster count takes this one path; each distinct
-        set is looked up once."""
+        here): the largest combined aging over its tiles. Each (tile, row)
+        cell's hosted set is a C-bit mask in ceil(C / 64) little-endian uint64
+        words, whose bytes key the tile cache, so every cluster count takes
+        this one path. The keys not yet cached are decoded together, and each
+        set goes once to the kernel and combine_aging, in first-seen cell
+        order; every cell is then read from the cache."""
         rows = np.asarray(rows, dtype=np.int64)
         n, num_clusters = rows.shape
+        words = -(-num_clusters // 64)
         cluster = np.arange(num_clusters)
-        # Little-endian words, so that the bytes of word w hold clusters 64w on.
-        masks = np.zeros((self.hw.num_tiles, n, -(-num_clusters // 64)), dtype="<u8")
+        # Little-endian words, so that bit i of a key's bytes is cluster i.
+        masks = np.zeros((self.hw.num_tiles, n, words), dtype="<u8")
         # A cell's bits are disjoint, so adding them is the same as OR-ing them.
         np.add.at(masks, (rows, np.arange(n)[:, None], cluster // 64),
                   np.uint64(1) << (cluster % 64).astype(np.uint64))
-        masks = masks.reshape(-1, masks.shape[2])
-        # Rank the cells one word at a time; a rank stays below the cell count,
-        # so the combined key cannot overflow.
-        distinct, rank = np.unique(masks[:, 0], return_inverse=True)
-        for column in masks.T[1:]:
-            values, inverse = np.unique(column, return_inverse=True)
-            distinct, rank = np.unique(rank * values.size + inverse, return_inverse=True)
-        cell = np.empty(distinct.size, dtype=np.int64)
-        cell[rank] = np.arange(rank.size)  # any one cell holding each distinct set
-        bits = np.unpackbits(masks[cell].view(np.uint8), axis=1, count=num_clusters,
-                             bitorder="little")
-        set_index, member = np.divmod(np.flatnonzero(bits), num_clusters)
-        bounds = np.searchsorted(set_index, np.arange(distinct.size + 1)).tolist()
-        member = member.tolist()
-        agings = np.array([self.tile_aging(frozenset(member[lo:hi])) if hi > lo else 0.0
-                           for lo, hi in zip(bounds[:-1], bounds[1:])])
-        return agings[rank].reshape(self.hw.num_tiles, n).max(axis=0)
+        keys = masks.view(f"V{8 * words}").ravel().tolist()
+        cache = self._tile_cache
+        new = list(dict.fromkeys(filterfalse(cache.__contains__, keys)))
+        bits = np.unpackbits(np.frombuffer(b"".join(new), np.uint8).reshape(len(new), 8 * words),
+                             axis=1, bitorder="little")
+        for key, row in zip(new, bits):
+            mech = hosted_set_mechanism_agings(
+                row.nonzero()[0].tolist(), self.workload, self.hw, self.aging_params)
+            cache[key] = combine_aging(*mech, self.aging_params.tddb.beta)
+        agings = np.fromiter(map(cache.__getitem__, keys), np.float64, len(keys))
+        return agings.reshape(self.hw.num_tiles, n).max(axis=0)
 
     def evaluate(self, mapping: Mapping) -> Evaluation:
         """Evaluation of one mapping, validated against the instance first;

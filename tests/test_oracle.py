@@ -29,11 +29,11 @@ from wearmap.model import (
 from wearmap.oracle import (
     ENUMERATION_GUARD,
     GuardExceededError,
+    _assignment_table,
     _objective_table,
     brute_force_optimum,
     brute_force_pareto,
     count_feasible_mappings,
-    enumerate_mappings,
 )
 from wearmap.perf import PerfParams
 from wearmap.swarm import (
@@ -106,7 +106,7 @@ def test_enumerate_counts_and_order():
     for n_c, n_t, cap in [(2, 2, 1), (3, 3, 1), (2, 3, 1), (4, 2, 2)]:
         hw = _hw(n_t, cap)
         snn = _snn(n_c)
-        seen = [m.assignment for m in enumerate_mappings(snn, hw)]
+        seen = [tuple(a) for a in _assignment_table(snn, hw).tolist()]
         assert len(seen) == count_feasible_mappings(n_c, n_t, cap)
         assert len(set(seen)) == len(seen)
         assert seen == sorted(seen)
@@ -115,10 +115,10 @@ def test_enumerate_counts_and_order():
 
 
 def test_enumerate_guard_is_eager():
-    # 8 clusters on 8 tiles with capacity 8: 8^8 > 1e6. The guard must fire at
-    # call time, before any assignment is consumed.
+    # 8 clusters on 8 tiles with capacity 8: 8^8 > 1e6. The guard must fire
+    # before any row of the table is built.
     with pytest.raises(GuardExceededError) as err:
-        enumerate_mappings(_snn(8), _hw(8, tile_capacity=8))
+        _assignment_table(_snn(8), _hw(8, tile_capacity=8))
     assert err.value.count == 8 ** 8
     assert str(8 ** 8) in str(err.value)
     assert err.value.limit == ENUMERATION_GUARD
@@ -126,7 +126,7 @@ def test_enumerate_guard_is_eager():
 
 def test_enumerate_infeasible():
     with pytest.raises(InfeasibleError):
-        enumerate_mappings(_snn(3), _hw(2, tile_capacity=1))
+        _assignment_table(_snn(3), _hw(2, tile_capacity=1))
 
 
 # ---------------------------------------------------------------- optimum
@@ -227,7 +227,8 @@ def test_pareto_matches_archive_extraction():
         ctx = _ctx(4, 2, tile_capacity=2, seed=seed, rate=80.0)
         oracle_front = brute_force_pareto(ctx.workload.snn, ctx.hw, ctx)
         entries = []
-        for m in enumerate_mappings(ctx.workload.snn, ctx.hw):
+        for a in _assignment_table(ctx.workload.snn, ctx.hw).tolist():
+            m = Mapping(a)
             ev = ctx.evaluate(m)
             entries.append(ArchiveEntry(
                 assignment=m.assignment, tau=ev.tau, aging=ev.aging,
@@ -341,7 +342,7 @@ def _assert_matches_reference(workload, hw, perf=PerfParams()):
     ref_ctx = EvalContext(workload, hw, AgingParams(), perf)
     ctx = EvalContext(workload, hw, AgingParams(), perf)
     mappings = _reference_mappings(snn, hw)
-    assert [m.assignment for m in enumerate_mappings(snn, hw)] == [
+    assert [tuple(a) for a in _assignment_table(snn, hw).tolist()] == [
         m.assignment for m in mappings]
 
     want = [ref_ctx.evaluate(m) for m in mappings]
@@ -438,7 +439,8 @@ def test_objective_table_keeps_one_row_per_orbit(instance):
     index = {tuple(r): i for i, r in enumerate(rows.tolist())}
     assert len(index) == len(rows)
     group = _mesh_automorphisms(*hw.mesh)
-    for m in enumerate_mappings(workload.snn, hw):
+    for a in _assignment_table(workload.snn, hw).tolist():
+        m = Mapping(a)
         orbit = _orbit(m.assignment, group)
         (canonical,) = orbit & index.keys()  # exactly one canonical row
         assert canonical == min(orbit)
@@ -501,18 +503,23 @@ def test_many_clusters_on_one_tile():
     # 70 clusters take two mask words: {c0} on tile 1 must not read as the empty set
     ctx = EvalContext(workload, _hw(2, tile_capacity=70), AgingParams(), PerfParams())
     looked_up = []
-    real = ctx.tile_aging
 
-    def recording(members):
-        looked_up.append(members)
-        return real(members)
+    def recording(members, *args):
+        looked_up.append(frozenset(members))
+        return hosted_set_mechanism_agings(members, *args)
 
-    ctx.tile_aging = recording
     rows = np.array([[1] + [0] * 69, [0] * 70])
-    got = ctx.worst_tile_agings(rows).tolist()
+    with patch.object(swarm_module, "hosted_set_mechanism_agings", recording):
+        got = ctx.worst_tile_agings(rows).tolist()
     rest, everything = frozenset(range(1, 70)), frozenset(range(70))
-    assert sorted(looked_up, key=len) == [frozenset({0}), rest, everything]
-    assert got == [max(real(frozenset({0})), real(rest)), real(everything)]
+    # first-seen cell order, tile by tile; the empty tile 1 of row 1 is no call
+    assert looked_up == [rest, everything, frozenset({0})]
+
+    def aging(members):
+        mech = hosted_set_mechanism_agings(members, workload, ctx.hw, ctx.aging_params)
+        return combine_aging(*mech, ctx.aging_params.tddb.beta)
+
+    assert got == [max(aging({0}), aging(rest)), aging(everything)]
 
 
 def test_tau_past_int64_stays_exact():
@@ -524,22 +531,33 @@ def test_tau_past_int64_stays_exact():
 
 
 def test_tile_aging_is_combined_kernel_once_per_set(monkeypatch):
-    ctx = _ctx(4, 2, tile_capacity=3, seed=3)
+    # 4 clusters on 3 tiles of capacity 3: every row leaves a tile empty.
+    ctx = _ctx(4, 3, tile_capacity=3, seed=3)
     calls = []
 
     def counting(members, *args):
-        calls.append(members)
+        calls.append(frozenset(members))
         return hosted_set_mechanism_agings(members, *args)
 
     monkeypatch.setattr(swarm_module, "hosted_set_mechanism_agings", counting)
     beta = ctx.aging_params.tddb.beta
-    for s in (frozenset({0}), frozenset({1, 3}), frozenset({0, 1, 2})):
-        want = combine_aging(
-            *hosted_set_mechanism_agings(s, ctx.workload, ctx.hw, ctx.aging_params), beta)
-        assert ctx.tile_aging(s) == want
-        assert ctx.tile_aging(s) == want
-    assert calls == [frozenset({0}), frozenset({1, 3}), frozenset({0, 1, 2})]
-    # the oracle and evaluate read the same cache: each set is computed once
+
+    def aging(members):
+        return combine_aging(
+            *hosted_set_mechanism_agings(members, ctx.workload, ctx.hw, ctx.aging_params), beta)
+
+    rows = np.array([[0, 2, 2, 2], [1, 1, 0, 0], [0, 2, 2, 2]])
+    got = ctx.evaluate_rows(rows).aging.tolist()
+    # once per distinct non-empty set, in first-seen (tile, row) cell order
+    assert calls == [frozenset({0}), frozenset({2, 3}), frozenset({0, 1}),
+                     frozenset({1, 2, 3})]
+    assert got == [max(aging({0}), aging({1, 2, 3})), max(aging({2, 3}), aging({0, 1})),
+                   max(aging({0}), aging({1, 2, 3}))]
+    assert ctx.evaluate_rows(rows).aging.tolist() == got
+    assert ctx.evaluate(Mapping([1, 1, 0, 0])).aging == got[1]
+    assert len(calls) == 4
+    # the oracle reads the same cache: each of the 14 non-empty sets of at most
+    # 3 clusters is computed once, and the empty set never
     brute_force_pareto(ctx.workload.snn, ctx.hw, ctx)
-    ctx.evaluate(Mapping([0, 0, 1, 1]))
-    assert len(calls) == len(set(calls))
+    assert len(calls) == len(set(calls)) == 14
+    assert frozenset() not in calls and max(map(len, calls)) == 3

@@ -16,7 +16,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wearmap.swarm as swarm_module
-from wearmap.aging import AgingParams, NbtiParams, TddbParams, evaluate_hardware_aging
+from wearmap.aging import (
+    AgingParams,
+    NbtiParams,
+    TddbParams,
+    combine_aging,
+    evaluate_hardware_aging,
+    hosted_set_mechanism_agings,
+)
 from wearmap.config import load_run_config, parse_run_config
 from wearmap.model import (
     Cluster,
@@ -170,17 +177,27 @@ def test_evaluate_rows_matches_evaluate():
     assert [(c.dtype, c.shape) for c in empty] == [(np.float64, (0,))] * 3
 
 
-def _reference_worst_tile_aging(ctx, assignment):
-    """The per-row dict-of-sets body that worst_tile_agings replaced."""
+def _reference_worst_tile_aging(ctx, assignment, kernel):
+    """The per-row dict-of-sets body that worst_tile_agings replaced: the
+    kernel and combine_aging on every non-empty hosted set."""
     hosted = {}
     for ci, tile in enumerate(assignment):
         hosted.setdefault(tile, set()).add(ci)
     aging = 0.0
     for members in hosted.values():
-        a = ctx.tile_aging(frozenset(members))
+        a = combine_aging(*kernel(frozenset(members), ctx.workload, ctx.hw, ctx.aging_params),
+                          ctx.aging_params.tddb.beta)
         if a > aging:
             aging = a
     return aging
+
+
+def _fake_kernel(members, *args):
+    """A distinct TDDB aging per set, largest for a lone cluster, so that a set
+    read for another one changes the result; an empty set raises. A lone
+    mechanism passes through combine_aging exactly."""
+    return (1.0 / (len(members) + math.fsum(math.sin(c + 1.0) for c in members) ** 2 / 1e3),
+            0.0, 0.0)
 
 
 @st.composite
@@ -218,20 +235,16 @@ def test_worst_tile_agings_equals_dict_of_sets_reference(batch):
     num_clusters, num_tiles, rows, perm = batch
     wl = generate_poisson_workload(
         WorkloadShape(num_clusters=num_clusters, kind="chain"), 5.0, 1.0, 0)
-    ctx = EvalContext(wl, _hw(num_tiles=num_tiles, tile_capacity=num_clusters),
-                      AgingParams(), PerfParams())
-    for fake in (False, True):
-        if fake:
-            # A distinct value per set, largest for a lone cluster, so that a
-            # set read for another one changes the result; an empty tile
-            # looked up raises.
-            ctx.tile_aging = lambda members: 1.0 / (
-                len(members) + math.fsum(math.sin(c + 1.0) for c in members) ** 2 / 1e3)
-        got = ctx.worst_tile_agings(rows)
-        assert got.shape == (rows.shape[0],) and got.dtype == np.float64
-        assert got.tolist() == [_reference_worst_tile_aging(ctx, r) for r in rows.tolist()]
-        # aging depends on the partition only, not on which tile hosts which set
-        assert ctx.worst_tile_agings(perm[rows]).tolist() == got.tolist()
+    hw = _hw(num_tiles=num_tiles, tile_capacity=num_clusters)
+    for kernel in (hosted_set_mechanism_agings, _fake_kernel):
+        ctx = EvalContext(wl, hw, AgingParams(), PerfParams())
+        with patch.object(swarm_module, "hosted_set_mechanism_agings", kernel):
+            got = ctx.worst_tile_agings(rows)
+            assert got.shape == (rows.shape[0],) and got.dtype == np.float64
+            assert got.tolist() == [_reference_worst_tile_aging(ctx, r, kernel)
+                                    for r in rows.tolist()]
+            # aging depends on the partition only, not on which tile hosts which set
+            assert ctx.worst_tile_agings(perm[rows]).tolist() == got.tolist()
 
 
 def test_fitness_invalid_mapping_raises():
@@ -772,6 +785,16 @@ workload:
             kind: random, edge_prob: 0.125, rate: 60.0, window: 1.0, seed: 11}
 """
 
+# More than 64 clusters, two to a tile: hosted sets span two mask words.
+_MESH_70 = """\
+hardware: {num_tiles: 36, mesh: [6, 6], crossbar_dim: 64, tile_capacity: 2,
+           temperature: 300.0, device: {kind: diode_1D1R}}
+pso: {n_particles: 20, max_iterations: 4, seed: 3}
+workload:
+  poisson: {num_clusters: 70, neurons_per_cluster: 16, synapses_per_cluster: 48,
+            kind: random, edge_prob: 0.05, rate: 40.0, window: 1.0, seed: 13}
+"""
+
 
 def _archive_digest(cfg):
     ctx = EvalContext(cfg.workload, cfg.hardware, cfg.aging, cfg.perf)
@@ -790,6 +813,8 @@ def test_optimize_archive_golden():
         "1e2f3b59d2a3a68f345ffb2147769198ea25d9e3b88dfd33da888976a0195619"
     assert _archive_digest(parse_run_config(_MESH_24)) == \
         "d4e72e80f4c1c1f926b8cd23a8695efdba12806b8d58c9bcb2f1fd7c60330a1e"
+    assert _archive_digest(parse_run_config(_MESH_70)) == \
+        "c7778d43683b4d26bac337872f087a28cbd069a8520da6fd8d706d88ef714340"
 
 
 # ---------------------------------------------------------------- pareto
