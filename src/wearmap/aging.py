@@ -454,25 +454,18 @@ def _exact_sum(terms: np.ndarray) -> float:
     return math.fsum(memoryview(terms))
 
 
-def _tile_mechanism_agings(
-    workload: Workload, mapping: Mapping, hw: HardwareConfig, p: AgingParams
-) -> dict[int, tuple[float, float, float]]:
-    hosted: dict[int, set[int]] = {tile: set() for tile in range(hw.num_tiles)}
-    for ci, tile in enumerate(mapping.assignment):
-        hosted[tile].add(ci)
-    return {
-        tile: hosted_set_mechanism_agings(members, workload, hw, p)
-        for tile, members in hosted.items()
-    }
-
-
 def evaluate_hardware_aging(
     workload: Workload, mapping: Mapping, hw: HardwareConfig, p: AgingParams
 ) -> AgingReport:
-    """Evaluate wear of one mapping over one workload window."""
+    """Evaluate wear of one mapping over one workload window, one kernel call
+    per tile on the clusters it hosts."""
     require_valid_mapping(mapping, workload.snn, hw)
     beta = p.tddb.beta
-    mech = _tile_mechanism_agings(workload, mapping, hw, p)
+    hosted: dict[int, set[int]] = {tile: set() for tile in range(hw.num_tiles)}
+    for ci, tile in enumerate(mapping.assignment):
+        hosted[tile].add(ci)
+    mech = {tile: hosted_set_mechanism_agings(members, workload, hw, p)
+            for tile, members in hosted.items()}
     per_tile = {
         tile: combine_aging(at, an, ah, beta) for tile, (at, an, ah) in mech.items()
     }
@@ -507,11 +500,12 @@ def calibrate_baseline(
     One scalar s multiplies tddb.a and divides nbti.g0 / hci.g0, scaling every
     per-mechanism aging by exactly 1/s; the worst-tile combined aging is then
     strictly decreasing in s, so the unique root is found by bisection in
-    log space. Relative spreads between mechanisms and tiles are preserved.
+    log space over the baseline report's distinct (tddb, nbti, hci) triples.
+    Relative spreads between mechanisms and tiles are preserved.
     """
     if target_mttf <= 0.0 or not math.isfinite(target_mttf):
         raise ValueError("target_mttf must be positive and finite")
-    require_valid_mapping(baseline_mapping, workload.snn, hw)
+    report = evaluate_hardware_aging(workload, baseline_mapping, hw, p)
     if workload.total_spikes() == 0:
         raise CalibrationError(
             "workload emits no spikes; baseline stress is zero and MTTF is unbounded"
@@ -519,10 +513,7 @@ def calibrate_baseline(
 
     beta = p.tddb.beta
     window = workload.snn.workload_window
-    stressed = [
-        m for m in _tile_mechanism_agings(workload, baseline_mapping, hw, p).values()
-        if m != (0.0, 0.0, 0.0)
-    ]
+    stressed = {(n.tddb, n.nbti, n.hci) for n in report.per_neuron.values()}
     target_aging = window * math.gamma(1.0 + 1.0 / beta) / target_mttf
 
     def worst(s: float) -> float:

@@ -209,7 +209,7 @@ class VoltageTrace:
     """Piecewise-constant voltage waveform: contiguous (voltage, duration) segments.
 
     Segments are stored as given; adjacent equal-voltage segments are legal so
-    that concatenation keeps sums term-aligned. Use merged() to coalesce.
+    that joined segment lists keep sums term-aligned. Use merged() to coalesce.
     """
 
     voltages: np.ndarray
@@ -248,14 +248,6 @@ class VoltageTrace:
             else:
                 segs.append([v, d])
         return VoltageTrace((v, d) for v, d in segs)
-
-
-def concat_traces(*traces: VoltageTrace) -> VoltageTrace:
-    """Concatenate traces preserving segment structure (no coalescing)."""
-    segs: list[tuple[float, float]] = []
-    for t in traces:
-        segs.extend(t.segments)
-    return VoltageTrace(segs)
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,12 @@ integer sum over tile loads and Manhattan hops, which an isometry permutes
 without changing, followed by the same float operations. The enumeration
 guard still counts every feasible mapping, not the orbits.
 
-The canonical rows' tau, aging and lambda columns come from the swarm's own
-batch evaluator, EvalContext.evaluate_rows, on blocks of rows. They are
-bit-identical to EvalContext.evaluate on each mapping, and the optimum's
-evaluation is read from them, not computed again. One table serves both the
-optimum and the front when the caller builds it once and passes it to each.
+The canonical rows' tau, aging and lambda columns come from one call to the
+swarm's batch evaluator, EvalContext.evaluate_rows, which splits the rows into
+blocks of bounded size itself. They are bit-identical to EvalContext.evaluate
+on each mapping, and the optimum's evaluation is read from them, not computed
+again. One table serves both the optimum and the front when the caller builds
+it once and passes it to each.
 
 Everything here is deliberately independent of the swarm's search: the
 optimum is the first argmin over the canonical rows, which is the first
@@ -36,12 +37,9 @@ from math import comb
 import numpy as np
 
 from .model import ClusteredSnn, HardwareConfig, Mapping
-from .swarm import EvalContext, Evaluation, FrontPoint, InfeasibleError, ParetoFront
+from .swarm import EvalContext, Evaluation, FrontPoint, ParetoFront, require_capacity
 
 ENUMERATION_GUARD = 10 ** 6
-# Cells per block of the (tile, mapping) arrays that the objective table is
-# evaluated on, so the oracle's working memory stays bounded.
-_BLOCK_CELLS = 1 << 20
 
 
 class GuardExceededError(RuntimeError):
@@ -79,10 +77,7 @@ def _assignment_table(snn: ClusteredSnn, hw: HardwareConfig) -> np.ndarray:
     """(N, C) array of every feasible assignment, rows in lexicographic order.
     The guard and feasibility checks run before any row is built."""
     num_clusters = len(snn.clusters)
-    if num_clusters > hw.total_capacity:
-        raise InfeasibleError(
-            f"{num_clusters} clusters exceed total capacity {hw.total_capacity}"
-        )
+    require_capacity(num_clusters, hw)
     count = count_feasible_mappings(num_clusters, hw.num_tiles, hw.tile_capacity)
     if count > ENUMERATION_GUARD:
         raise GuardExceededError(count, ENUMERATION_GUARD)
@@ -136,9 +131,7 @@ def _objective_table(
     lexicographic order, and its evaluation columns. NaN objectives are
     refused, as extract_pareto refuses them: they have no order."""
     rows = _orbit_minima(_assignment_table(snn, hw), _mesh_isometries(hw))
-    step = max(1, _BLOCK_CELLS // ctx.hw.num_tiles)
-    blocks = [ctx.evaluate_rows(rows[i:i + step]) for i in range(0, rows.shape[0], step)]
-    ev = Evaluation(*(np.concatenate(column) for column in zip(*blocks)))
+    ev = ctx.evaluate_rows(rows)
     if np.isnan(ev.tau).any() or np.isnan(ev.aging).any():
         raise ValueError("an objective evaluates to NaN")
     return rows, ev

@@ -7,13 +7,13 @@ window (set tile_parallelism=False to model a serialized array instead).
 Communication: every inter-tile spike pays hop_latency per mesh hop on the
 shortest (manhattan) route, summed over edges since the mesh is shared.
 
-execution_times evaluates a whole (n, C) array of assignments at once; the
-swarm and the exhaustive oracle both call it, and execution_time is its
+execution_times evaluates a whole (n, C) array of assignments at once;
+EvalContext.evaluate_rows, the batch evaluator of the swarm and the exhaustive
+oracle, calls it on blocks of bounded size, and execution_time is its
 validated one-mapping case. It has no loop over edges: the edges' spike counts
 are summed per receiving cluster once, and one np.add.at puts those totals
 onto the tiles; the spike-hops of all edges are one integer matrix product of
-the per-row hop counts with the edge counts. Rows go through in chunks of
-bounded size, so the working set stays small however many rows come in.
+the per-row hop counts with the edge counts.
 """
 
 from __future__ import annotations
@@ -24,10 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ClusteredSnn, HardwareConfig, Mapping, require_valid_mapping
-
-# Rows are evaluated in chunks of at most this many (edge, tile or cluster) x
-# row cells, so a large block such as the oracle's never holds an (n, E) array.
-_CHUNK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -67,19 +63,13 @@ def execution_times(
 
     tile_y, tile_x = np.divmod(np.arange(hw.num_tiles), width)
     n = rows.shape[0]
-    out = np.empty(n)
-    step = max(1, _CHUNK_CELLS // max(len(edges), hw.num_tiles, rows.shape[1]))
-    for lo in range(0, n, step):
-        chunk = rows[lo:lo + step]
-        m = chunk.shape[0]
-        arrivals = np.zeros((hw.num_tiles, m), dtype=dtype)
-        np.add.at(arrivals, (chunk, np.arange(m)[:, None]), inbound)
-        x, y = tile_x[chunk], tile_y[chunk]
-        hops = abs(x[:, src] - x[:, dst]) + abs(y[:, src] - y[:, dst])  # (m, E)
-        comm = hops @ counts
-        load = arrivals.max(axis=0) if p.tile_parallelism else arrivals.sum(axis=0)
-        out[lo:lo + m] = load * p.spike_latency + comm * p.hop_latency
-    return out
+    arrivals = np.zeros((hw.num_tiles, n), dtype=dtype)
+    np.add.at(arrivals, (rows, np.arange(n)[:, None]), inbound)
+    x, y = tile_x[rows], tile_y[rows]
+    hops = abs(x[:, src] - x[:, dst]) + abs(y[:, src] - y[:, dst])  # (n, E)
+    comm = hops @ counts
+    load = arrivals.max(axis=0) if p.tile_parallelism else arrivals.sum(axis=0)
+    return np.asarray(load * p.spike_latency + comm * p.hop_latency, dtype=np.float64)
 
 
 def execution_time(

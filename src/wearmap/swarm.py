@@ -16,8 +16,9 @@ repair's preference, and one repair_rows over all particles. One update then
 evaluates the repaired rows with one EvalContext.evaluate_rows, the batch
 evaluator the oracle also calls, which returns float64 columns of tau
 (perf.execution_times), aging (worst_tile_agings, which reads each tile's
-aging from a cache keyed by its hosted set's bitmask) and lambda; it
-archives them and updates the personal bests in one comparison.
+aging from a cache keyed by its hosted set's bitmask) and lambda, block by
+block (the only place a batch is split); it archives them and updates the
+personal bests in one comparison.
 Initialization is that same update applied to the random starting corners
 as iteration 0, and evaluate is the validated one-mapping case. Python loops
 over particles only for the overloaded rows repair has to move and for the
@@ -44,8 +45,21 @@ from .model import ClusteredSnn, HardwareConfig, Mapping, Workload
 from .perf import PerfParams, execution_time, execution_times
 
 
+# evaluate_rows takes a batch in blocks of at most this many (edge, tile or
+# cluster) x row cells, so no batch, however large, is held as one (n, E) array.
+_BLOCK_CELLS = 1 << 16
+
+
 class InfeasibleError(RuntimeError):
     """The instance admits no feasible mapping (more clusters than capacity)."""
+
+
+def require_capacity(num_clusters: int, hw: HardwareConfig) -> None:
+    """Raise InfeasibleError when num_clusters exceed hw's total capacity."""
+    if num_clusters > hw.total_capacity:
+        raise InfeasibleError(
+            f"{num_clusters} clusters exceed total capacity {hw.total_capacity}"
+        )
 
 
 class Evaluation(NamedTuple):
@@ -133,10 +147,17 @@ class EvalContext:
     def evaluate_rows(self, rows: np.ndarray) -> Evaluation:
         """evaluate for every row of an (n, C) array of feasible assignments,
         such as repair_rows returns, as float64 columns of length n; the rows
-        are not validated again. Tau comes from one execution_times call and
-        aging from one worst_tile_agings call."""
-        tau = execution_times(rows, self.workload.snn, self.hw, self.perf_params)
-        aging = self.worst_tile_agings(rows)
+        are not validated again. The rows go in blocks of at most _BLOCK_CELLS
+        cells; each fills its slice of the columns from one execution_times
+        and one worst_tile_agings call."""
+        snn, n = self.workload.snn, len(rows)
+        step = max(1, _BLOCK_CELLS // max(len(snn.resolved_edges), len(snn.clusters),
+                                          self.hw.num_tiles))
+        tau, aging = np.empty(n), np.empty(n)
+        for lo in range(0, n, step):
+            block = rows[lo:lo + step]
+            tau[lo:lo + step] = execution_times(block, snn, self.hw, self.perf_params)
+            aging[lo:lo + step] = self.worst_tile_agings(block)
         return Evaluation(tau, aging, lambdas(tau, aging))
 
 
@@ -213,10 +234,10 @@ def binarize(position: np.ndarray, velocity: np.ndarray,
              rng: np.random.Generator) -> np.ndarray:
     """Stochastic binarization: bit_d = 0 with probability sigmoid(velocity_d).
 
-    The stated rule reads only the velocity; the sampled bit replaces the real
-    position outright. One uniform draw per component, in array order.
-    step_swarm makes the same draw from the sigmoid it also hands to repair,
-    so it does not call this function.
+    The rule reads only the velocity; position is never read. One uniform draw
+    per component, in array order. step_swarm makes the same draw from the
+    sigmoid it also hands to repair, without calling this function; the bits
+    only feed repair, and the real position keeps integrating the velocity.
     """
     return _draw_bits(_sigmoid(np.asarray(velocity, dtype=np.float64)), rng)
 
@@ -315,10 +336,7 @@ def repair(
             f"binary matrix must be (num_clusters, {hw.num_tiles}), got {b.shape}"
         )
     num_clusters, num_tiles = b.shape
-    if num_clusters > hw.total_capacity:
-        raise InfeasibleError(
-            f"{num_clusters} clusters exceed total capacity {hw.total_capacity}"
-        )
+    require_capacity(num_clusters, hw)
     if pref is None:
         prefm = np.zeros((num_clusters, num_tiles))
     else:
@@ -365,10 +383,7 @@ def initialize_swarm(cfg: PsoConfig, ctx: EvalContext) -> SwarmState:
     snn = ctx.workload.snn
     num_clusters = len(snn.clusters)
     num_tiles = ctx.hw.num_tiles
-    if num_clusters > ctx.hw.total_capacity:
-        raise InfeasibleError(
-            f"{num_clusters} clusters exceed total capacity {ctx.hw.total_capacity}"
-        )
+    require_capacity(num_clusters, ctx.hw)
     n_p, _ = cfg.resolved(num_clusters)
     rng = np.random.default_rng(cfg.seed)
 

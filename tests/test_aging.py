@@ -47,7 +47,6 @@ from wearmap.model import (
     Workload,
     WorkloadShape,
     build_voltage_trace,
-    concat_traces,
     first_fit_mapping,
     generate_poisson_workload,
 )
@@ -201,7 +200,7 @@ def test_tddb_additivity_under_concat():
     for _ in range(50):
         t1 = _random_trace(rng)
         t2 = _random_trace(rng)
-        whole = tddb_aging(concat_traces(t1, t2), 300.0, p)
+        whole = tddb_aging(VoltageTrace(t1.segments + t2.segments), 300.0, p)
         parts = tddb_aging(t1, 300.0, p) + tddb_aging(t2, 300.0, p)
         assert math.isclose(whole, parts, rel_tol=1e-13)
 
@@ -991,6 +990,16 @@ def test_calibrate_zero_stress_errors():
     hw = _hw(num_tiles=1)
     with pytest.raises(CalibrationError):
         calibrate_baseline(wl, Mapping([0]), hw, _params(), 2.0 * YEAR)
+
+
+def test_calibrate_spikes_without_aging_errors():
+    # Spikes, but no aging: alpha overflows to inf below t_ref and NBTI is off,
+    # so every tile's triple is (0, 0, 0) and no scaling reaches the target.
+    snn = ClusteredSnn([Cluster("c0", 4, 8)], [], 1.0)
+    wl = Workload(snn=snn, trains={"c0": SpikeTrain([0.5])})
+    p = _params(tddb=TddbParams(a=1e308, gamma=0.0), nbti=NbtiParams(g0=0.0))
+    with np.errstate(over="ignore"), pytest.raises(CalibrationError):
+        calibrate_baseline(wl, Mapping([0]), _hw(num_tiles=1, temperature=250.0), p, YEAR)
 
 
 def test_calibrate_scales_all_mechanisms_proportionally():

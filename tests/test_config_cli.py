@@ -959,6 +959,19 @@ def test_cli_outputs_match_golden(tmp_path, capsys, argv):
     assert digests == _GOLDEN[argv]
 
 
+def test_cli_calibrate_medium_matches_golden(tmp_path, capsys):
+    # The first-fit baseline of medium.yaml puts three clusters on each of four
+    # tiles, so calibrate sees every stressed tile's (tddb, nbti, hci) triple
+    # three times. SHA-256 recorded before calibrate read those triples from
+    # the baseline's aging report.
+    out = tmp_path / "out"
+    assert main(["calibrate", "--config", str(_BASELINE.with_name("medium.yaml")),
+                 "--output", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256((out / "calibrated_params.json").read_bytes()).hexdigest() == (
+        "5f127f433691513a5c4b91ea01eb341d786d23512d7ba1ce4157eafb8a42d9b5")
+
+
 def test_cli_verify_enumerates_the_feasible_set_once(tmp_path, capsys):
     # the optimum and the front are read off one shared objective table
     with patch.object(oracle_module, "_assignment_table",

@@ -17,7 +17,6 @@ from wearmap.model import (
     Workload,
     WorkloadShape,
     build_voltage_trace,
-    concat_traces,
     generate_poisson_workload,
     mapping_violations,
     validate_snn,
@@ -216,11 +215,10 @@ def test_voltage_trace_empty_is_allowed():
     assert t.span == 0.0
 
 
-def test_concat_preserves_segment_structure():
-    a = VoltageTrace([(2.0, 1.0)])
-    b = VoltageTrace([(2.0, 2.0), (3.0, 1.0)])
-    c = concat_traces(a, b)
-    assert c.segments == ((2.0, 1.0), (2.0, 2.0), (3.0, 1.0))
+def test_voltage_trace_keeps_adjacent_equal_voltage_segments():
+    t = VoltageTrace([(2.0, 1.0), (2.0, 2.0), (3.0, 1.0)])
+    assert t.segments == ((2.0, 1.0), (2.0, 2.0), (3.0, 1.0))
+    assert len(t) == 3
 
 
 def test_merged_coalesces_adjacent_equal_voltages():

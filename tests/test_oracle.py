@@ -10,7 +10,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import wearmap.oracle as oracle_module
 import wearmap.swarm as swarm_module
 from wearmap.aging import AgingParams, combine_aging, hosted_set_mechanism_agings
 from wearmap.model import (
@@ -355,16 +354,20 @@ def _assert_matches_reference(workload, hw, perf=PerfParams()):
                  if m.assignment == min(_orbit(m.assignment, group))]
     # The default blocks hold every small instance whole; 16-cell blocks split
     # the objective table into many blocks.
-    # The table goes through evaluate_rows, one call per block, and the
-    # optimum's evaluation is read from it: evaluate is never called.
-    for block_cells in (oracle_module._BLOCK_CELLS, 16):
-        step = max(1, block_cells // hw.num_tiles)
-        with patch.object(oracle_module, "_BLOCK_CELLS", block_cells), \
+    # The table goes through one evaluate_rows call, which splits it into
+    # blocks, and the optimum's evaluation is read from it: evaluate is never
+    # called.
+    width = max(len(snn.resolved_edges), hw.num_tiles, len(snn.clusters))
+    for block_cells in (swarm_module._BLOCK_CELLS, 16):
+        step = max(1, block_cells // width)
+        with patch.object(swarm_module, "_BLOCK_CELLS", block_cells), \
                 patch.object(ctx, "evaluate", side_effect=AssertionError("evaluate called")), \
-                patch.object(ctx, "evaluate_rows", wraps=ctx.evaluate_rows) as batches:
+                patch.object(ctx, "evaluate_rows", wraps=ctx.evaluate_rows) as batches, \
+                patch.object(ctx, "worst_tile_agings", wraps=ctx.worst_tile_agings) as blocks:
             table = _objective_table(snn, hw, ctx)
             rows, ev = table
-            assert [len(c.args[0]) for c in batches.call_args_list] == [
+            assert [len(c.args[0]) for c in batches.call_args_list] == [len(canonical)]
+            assert [len(c.args[0]) for c in blocks.call_args_list] == [
                 len(canonical[lo:lo + step]) for lo in range(0, len(canonical), step)]
             assert [tuple(r) for r in rows.tolist()] == [mappings[i].assignment
                                                          for i in canonical]

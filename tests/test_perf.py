@@ -2,13 +2,15 @@
 and the batched execution_times is held to a scalar per-mapping reference."""
 
 import math
+from unittest.mock import MagicMock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import wearmap.perf as perf_module
+import wearmap.swarm as swarm_module
+from wearmap.aging import AgingParams
 from wearmap.model import (
     Cluster,
     ClusteredSnn,
@@ -17,8 +19,11 @@ from wearmap.model import (
     HardwareConfig,
     Mapping,
     MappingConstraintError,
+    SpikeTrain,
+    Workload,
 )
 from wearmap.perf import PerfParams, execution_time, execution_times
+from wearmap.swarm import EvalContext
 
 
 def _hw(num_tiles=4, tile_capacity=1, mesh=None):
@@ -277,7 +282,7 @@ def test_execution_times_invariant_under_mesh_automorphisms(batch):
 
 
 @st.composite
-def _multi_chunk_batches(draw):
+def _multi_block_batches(draw):
     width, height = draw(st.sampled_from([(2, 2), (3, 1), (1, 3), (3, 2), (4, 4)]))
     num_tiles = width * height
     num_clusters = draw(st.integers(2, 6))
@@ -290,24 +295,40 @@ def _multi_chunk_batches(draw):
     count = st.one_of(st.integers(0, 50), st.integers(2 ** 61, 2 ** 63))
     edges = [Edge(src, dst, draw(count)) for src, dst in pairs]
     snn = ClusteredSnn([Cluster(cid, 4, 8) for cid in ids], edges, 1.0)
+    grid = st.integers(0, 19).map(lambda k: k / 20.0)
+    trains = {cid: SpikeTrain(draw(st.lists(grid, max_size=4))) for cid in ids}
     hw = _hw(num_tiles=num_tiles, tile_capacity=num_clusters, mesh=(width, height))
     rows = draw(st.lists(st.lists(st.integers(0, num_tiles - 1), min_size=num_clusters,
-                                  max_size=num_clusters), min_size=1, max_size=40))
+                                  max_size=num_clusters), min_size=2, max_size=40))
     p = PerfParams(spike_latency=draw(st.sampled_from([1e-6, 2.5e-6])),
                    hop_latency=draw(st.sampled_from([1e-7, 3e-6])),
                    tile_parallelism=draw(st.booleans()))
     cells = draw(st.integers(1, 3 * max(len(edges), num_tiles)))
-    return snn, hw, np.array(rows, dtype=np.int64), p, cells
+    return Workload(snn=snn, trains=trains), hw, np.array(rows, dtype=np.int64), p, cells
 
 
 @settings(max_examples=200, deadline=None)
-@given(_multi_chunk_batches())
-def test_execution_times_across_chunks_equal_scalar_reference(batch):
-    # A chunk holds at most `cells` (edge or tile) x row cells, so these
-    # batches of up to 40 rows cross several chunk boundaries.
-    snn, hw, rows, p, cells = batch
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(perf_module, "_CHUNK_CELLS", cells)
-        got = execution_times(rows, snn, hw, p)
-    assert got.dtype == np.float64 and got.shape == (rows.shape[0],)
-    assert got.tolist() == [_reference_execution_time(snn, r, hw, p) for r in rows.tolist()]
+@given(_multi_block_batches())
+def test_evaluate_rows_across_blocks_equals_per_row_evaluate(batch):
+    # evaluate_rows splits a batch into blocks of at most `cells` (edge, tile
+    # or cluster) x row cells, so these batches of up to 40 rows cross several
+    # block boundaries. The empty batch, one row and the whole batch each
+    # equal evaluate on every row, and tau the scalar reference.
+    workload, hw, rows, p, cells = batch
+    snn = workload.snn
+    ref_ctx = EvalContext(workload, hw, AgingParams(), p)
+    want = [ref_ctx.evaluate(Mapping(r)) for r in rows.tolist()]
+    assert [e.tau for e in want] == [_reference_execution_time(snn, r, hw, p)
+                                     for r in rows.tolist()]
+    step = max(1, cells // max(len(snn.resolved_edges), hw.num_tiles, len(snn.clusters)))
+    for n in (0, 1, len(rows)):
+        ctx = EvalContext(workload, hw, AgingParams(), p)
+        blocks = MagicMock(wraps=execution_times)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(swarm_module, "_BLOCK_CELLS", cells)
+            mp.setattr(swarm_module, "execution_times", blocks)
+            got = ctx.evaluate_rows(rows[:n])
+        assert [len(c.args[0]) for c in blocks.call_args_list] == [
+            len(rows[lo:min(n, lo + step)]) for lo in range(0, n, step)]
+        assert all(c.dtype == np.float64 and c.shape == (n,) for c in got)
+        assert list(zip(*(c.tolist() for c in got))) == [tuple(e) for e in want[:n]]
