@@ -31,7 +31,14 @@ from .aging import (
     evaluate_hardware_aging,
     mttf_from_aging,
 )
-from .config import YEAR_SECONDS, ConfigError, RunConfig, check_wear_rates, load_run_config
+from .config import (
+    YEAR_SECONDS,
+    ConfigError,
+    RunConfig,
+    check_spike_counts,
+    check_wear_rates,
+    load_run_config,
+)
 from .model import (
     DeviceProfile,
     HardwareConfig,
@@ -257,10 +264,12 @@ def _parse_axis_values(axis: str, text: str) -> list:
 
 
 def _hardware_variant(cfg: RunConfig, axis: str, value) -> HardwareConfig:
-    """cfg's hardware with axis set to value, its wear rates checked."""
+    """cfg's hardware with axis set to value, its wear rates and the workload's
+    spike counts on its mesh checked."""
     try:
         hw = _AXES[axis][1](cfg.hardware, value)
         check_wear_rates(cfg.aging, hw)
+        check_spike_counts(cfg.workload.snn, hw)
     except ValueError as e:  # ConfigError included
         raise ConfigError(f"--values: {e}") from e
     return hw

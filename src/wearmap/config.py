@@ -32,7 +32,7 @@ from .model import (
     WorkloadShape,
     generate_poisson_workload,
 )
-from .perf import PerfParams
+from .perf import PerfParams, spike_hop_bound
 from .swarm import PsoConfig
 
 YEAR_SECONDS = 365 * 24 * 3600.0
@@ -269,6 +269,19 @@ def check_wear_rates(aging: AgingParams, hw: HardwareConfig) -> None:
             raise ConfigError(f"{label} is {value!r}; it must be finite and > 0")
 
 
+def check_spike_counts(snn: ClusteredSnn, hw: HardwareConfig) -> None:
+    """Refuse edge spike counts whose spike_hop_bound on hw's mesh is past the
+    floats. The execution time sums loads and spike-hops exactly, but its
+    float conversion of them raised OverflowError in the middle of a run."""
+    try:
+        float(spike_hop_bound(snn, hw))
+    except OverflowError:
+        width, height = hw.mesh
+        raise ConfigError(
+            f"workload edges: the spike_count total, times the longest route on the "
+            f"{width}x{height} mesh, is past the floats") from None
+
+
 def _check_pulse_width(hw: HardwareConfig, workload: Workload) -> None:
     """Refuse a spike_pulse_width too small to lengthen some spike time: when
     t + width rounds back to t, that pulse has no duration, and the stress
@@ -316,8 +329,10 @@ def _root_section(parse):
 
 _ROOT_KINDS = {
     "epsilon": _rule(lambda x: x >= 0.0, "must be >= 0", _number),
-    "target_mttf_years": _rule(lambda x: math.isfinite(x) and x > 0.0,
-                               "must be finite and > 0", _number),
+    "target_mttf_years": _rule(
+        lambda x: math.isfinite(x * YEAR_SECONDS),
+        f"must be finite in seconds, at {YEAR_SECONDS!r} s a year",
+        _rule(lambda x: math.isfinite(x) and x > 0.0, "must be finite and > 0", _number)),
     "n_random": _rule(lambda n: n >= 1, "must be >= 1", _int),
     "hardware": _root_section(_parse_hardware),
     "aging": _root_section(_parse_aging),
@@ -336,6 +351,7 @@ def parse_run_config(text: str) -> RunConfig:
     d = _fields(root, "config", _ROOT_KINDS, required=("hardware", "workload"))
     aging = d.get("aging", AgingParams())
     check_wear_rates(aging, d["hardware"])
+    check_spike_counts(d["workload"].snn, d["hardware"])
     _check_pulse_width(d["hardware"], d["workload"])
 
     return RunConfig(

@@ -1,15 +1,17 @@
 """Exhaustive ground truth for small mapping instances.
 
-Every feasible assignment is held as one row of an (N, C) integer array, in
-lexicographic order. Only one row per orbit of the mesh's isometries (the
-reflection of each axis, and the transpose on a square mesh) is evaluated:
-the orbit's lexicographically smallest row, its canonical row. The reduction
-is exact, not approximate, because every member of an orbit has the same
-tau, aging and lambda to the last bit: a tile's aging depends only on the
-cluster set it hosts, never on where the tile sits, and tau is an exact
-integer sum over tile loads and Manhattan hops, which an isometry permutes
-without changing, followed by the same float operations. The enumeration
-guard still counts every feasible mapping, not the orbits.
+Only one feasible assignment per orbit of the mesh's isometries (the
+reflection of each axis, and the transpose on a square mesh) is enumerated
+and evaluated: the orbit's lexicographically smallest row, its canonical row.
+The canonical rows are built directly as one (N, C) integer array, in
+lexicographic order: a prefix is dropped as soon as an isometry maps it to a
+smaller one, so the full feasible table is never held. The reduction is
+exact, not approximate, because every member of an orbit has the same tau,
+aging and lambda to the last bit: a tile's aging depends only on the cluster
+set it hosts, never on where the tile sits, and tau is an exact integer sum
+over tile loads and Manhattan hops, which an isometry permutes without
+changing, followed by the same float operations. The enumeration guard
+still counts every feasible mapping, not the orbits.
 
 The canonical rows' tau, aging and lambda columns come from one call to the
 swarm's batch evaluator, EvalContext.evaluate_rows, which splits the rows into
@@ -73,9 +75,10 @@ def count_feasible_mappings(num_clusters: int, num_tiles: int, capacity: int) ->
     return dp[0]
 
 
-def _assignment_table(snn: ClusteredSnn, hw: HardwareConfig) -> np.ndarray:
-    """(N, C) array of every feasible assignment, rows in lexicographic order.
-    The guard and feasibility checks run before any row is built."""
+def _canonical_rows(snn: ClusteredSnn, hw: HardwareConfig) -> np.ndarray:
+    """(N, C) array of the smallest row of each orbit of feasible assignments
+    under the mesh's isometries, in lexicographic order. The feasibility check
+    and the guard, which counts every feasible assignment, run first."""
     num_clusters = len(snn.clusters)
     require_capacity(num_clusters, hw)
     count = count_feasible_mappings(num_clusters, hw.num_tiles, hw.tile_capacity)
@@ -84,12 +87,20 @@ def _assignment_table(snn: ClusteredSnn, hw: HardwareConfig) -> np.ndarray:
 
     # Extend every row by one cluster per step: each row repeats once per tile
     # that still has room, tiles ascending, so the order stays lexicographic.
+    # Orderly generation (Read 1978): tied holds the non-identity maps that fix
+    # each row's prefix. A tied map that sends the new tile lower drops the
+    # child, whose image is a smaller row; one that sends it higher unties.
+    moves = _mesh_isometries(hw)[1:].T - np.arange(hw.num_tiles)[:, None]  # image - tile
     rows = np.zeros((1, 0), dtype=np.int64)
     loads = np.zeros((1, hw.num_tiles), dtype=np.int64)
+    tied = np.ones((1, moves.shape[1]), dtype=bool)
     for c in range(num_clusters):
         parent, tile = np.nonzero(loads < hw.tile_capacity)
+        keep = ~(tied[parent] & (moves[tile] < 0)).any(axis=1)
+        parent, tile = parent[keep], tile[keep]
         rows = np.column_stack((rows[parent], tile))
         if c + 1 < num_clusters:
+            tied = tied[parent] & (moves[tile] == 0)
             loads = loads[parent]
             loads[np.arange(tile.size), tile] += 1
     return rows
@@ -109,28 +120,13 @@ def _mesh_isometries(hw: HardwareConfig) -> np.ndarray:
     return np.array(sorted({tuple(m.tolist()) for m in maps}))
 
 
-def _orbit_minima(rows: np.ndarray, group: np.ndarray) -> np.ndarray:
-    """The rows that are lexicographically no larger than any of their images
-    under group, one per orbit, in their order in rows. Each non-identity map
-    is tested on the rows still kept: a row survives when its first position
-    that the map changes holds the smaller tile."""
-    kept = rows
-    for perm in group[1:]:
-        image = perm[kept]
-        first = (image != kept).argmax(axis=1)[:, None]
-        # equal rows give first = 0, where both hold the same tile
-        kept = kept[np.take_along_axis(kept, first, axis=1)[:, 0]
-                    <= np.take_along_axis(image, first, axis=1)[:, 0]]
-    return kept
-
-
 def _objective_table(
     snn: ClusteredSnn, hw: HardwareConfig, ctx: EvalContext
 ) -> tuple[np.ndarray, Evaluation]:
-    """The canonical row of every mesh-symmetry orbit of feasible mappings, in
-    lexicographic order, and its evaluation columns. NaN objectives are
-    refused, as extract_pareto refuses them: they have no order."""
-    rows = _orbit_minima(_assignment_table(snn, hw), _mesh_isometries(hw))
+    """The canonical rows, as _canonical_rows enumerates them (no other row is
+    built), and their evaluation columns. NaN objectives are refused, as
+    extract_pareto refuses them: they have no order."""
+    rows = _canonical_rows(snn, hw)
     ev = ctx.evaluate_rows(rows)
     if np.isnan(ev.tau).any() or np.isnan(ev.aging).any():
         raise ValueError("an objective evaluates to NaN")

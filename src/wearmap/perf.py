@@ -39,6 +39,13 @@ class PerfParams:
             raise ValueError("hop_latency must be finite and >= 0")
 
 
+def spike_hop_bound(snn: ClusteredSnn, hw: HardwareConfig) -> int:
+    """The edges' spike counts summed, times the longest route on hw's mesh:
+    no tile's spike arrivals and no mapping's spike-hops exceed it."""
+    width, height = hw.mesh
+    return sum(c for _, _, c in snn.resolved_edges) * max(1, width + height - 2)
+
+
 def execution_times(
     rows: np.ndarray, snn: ClusteredSnn, hw: HardwareConfig, p: PerfParams
 ) -> np.ndarray:
@@ -51,10 +58,9 @@ def execution_times(
     """
     rows = np.asarray(rows)
     edges = snn.resolved_edges
-    width, height = hw.mesh
+    width, _ = hw.mesh
     # Python ints never overflow; fall back to them where int64 could.
-    bound = sum(c for _, _, c in edges) * max(1, width + height - 2)
-    dtype = np.int64 if bound < 2 ** 63 else object
+    dtype = np.int64 if spike_hop_bound(snn, hw) < 2 ** 63 else object
     src = np.array([si for si, _, _ in edges], dtype=np.int64)
     dst = np.array([di for _, di, _ in edges], dtype=np.int64)
     counts = np.array([c for _, _, c in edges], dtype=dtype)

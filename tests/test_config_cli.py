@@ -364,6 +364,13 @@ _MESSAGES = [
        id="target_mttf_type"),
     _P("target_mttf_years: 0.0\n" + BASE, "config.target_mttf_years: must be finite and > 0",
        id="target_mttf_range"),
+    # finite in years, inf in seconds: calibrate ended in a ValueError traceback
+    _P("target_mttf_years: 1.0e+301\n" + BASE,
+       "config.target_mttf_years: must be finite in seconds, at 31536000.0 s a year",
+       id="target_mttf_seconds_overflow"),
+    _P(BASE.replace("spike_count: 3", f"spike_count: {10 ** 400}"),
+       "workload edges: the spike_count total, times the longest route on the 2x1 mesh, "
+       "is past the floats", id="spike_count_past_floats"),
     _P("n_random: 2.5\n" + BASE, "config.n_random: expected an integer", id="n_random_type"),
     _P("n_random: true\n" + BASE, "config.n_random: expected an integer", id="n_random_bool"),
     _P("n_random: 0\n" + BASE, "config.n_random: must be >= 1", id="n_random_range"),
@@ -489,6 +496,38 @@ def test_cli_poisson_cluster_count_overflow_exits_2(tmp_path, capsys, count):
     assert capsys.readouterr().err.startswith("error: workload.poisson: ")
 
 
+
+
+def test_cli_spike_count_past_the_floats_exits_2(tmp_path, capsys):
+    # the exact integer sums held it, and execution_times' float conversion
+    # of the load and the spike-hops ended in an OverflowError traceback (exit 1)
+    p = _write(tmp_path, BASE.replace("spike_count: 3", f"spike_count: {10 ** 400}"))
+    for command in ("map", "verify", "compare"):
+        assert main([command, "--config", str(p), "--output", str(tmp_path / command)]) == 2
+        assert capsys.readouterr().err == (
+            "error: workload edges: the spike_count total, times the longest route on the "
+            "2x1 mesh, is past the floats\n")
+    # 1e308 spike-hops fit the floats on the 2x1 mesh, but not on the 7x1 mesh
+    # that sweep derives for 7 tiles, where the longest route is 6 hops
+    p = _write(tmp_path, BASE.replace("spike_count: 3", f"spike_count: {10 ** 308}"))
+    assert main(["sweep", "--config", str(p), "--output", str(tmp_path / "sweep"),
+                 "--axis", "num_tiles", "--values", "7"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --values: workload edges: the spike_count total, times the longest route on "
+        "the 7x1 mesh, is past the floats\n")
+
+
+@pytest.mark.parametrize("count", [2 ** 63, 2 ** 64 - 1, 10 ** 308])
+def test_cli_spike_count_past_int64_still_runs(tmp_path, capsys, count):
+    # int64 would wrap; the exact Python-int fallback keeps these counts running
+    p = _write(tmp_path, BASE.replace("spike_count: 3", f"spike_count: {count}"))
+    for command in ("map", "compare", "verify"):
+        assert main([command, "--config", str(p), "--output", str(tmp_path / command)]) in (
+            (0, 1) if command == "verify" else (0,))
+    capsys.readouterr()
+    summary = json.loads((tmp_path / "map" / "summary.json").read_text(encoding="utf-8"))
+    # either tile holds b, which receives every spike over one hop
+    assert summary["tau"] == float(count) * 1e-6 + float(count) * 1e-7
 
 
 def test_cli_missing_config_exits_2(tmp_path, capsys):
@@ -974,8 +1013,8 @@ def test_cli_calibrate_medium_matches_golden(tmp_path, capsys):
 
 def test_cli_verify_enumerates_the_feasible_set_once(tmp_path, capsys):
     # the optimum and the front are read off one shared objective table
-    with patch.object(oracle_module, "_assignment_table",
-                      wraps=oracle_module._assignment_table) as tables:
+    with patch.object(oracle_module, "_canonical_rows",
+                      wraps=oracle_module._canonical_rows) as tables:
         assert main(["verify", "--config", str(_BASELINE),
                      "--output", str(tmp_path / "out")]) == 0
     capsys.readouterr()

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -28,7 +29,7 @@ from wearmap.model import (
 from wearmap.oracle import (
     ENUMERATION_GUARD,
     GuardExceededError,
-    _assignment_table,
+    _canonical_rows,
     _objective_table,
     brute_force_optimum,
     brute_force_pareto,
@@ -105,7 +106,7 @@ def test_enumerate_counts_and_order():
     for n_c, n_t, cap in [(2, 2, 1), (3, 3, 1), (2, 3, 1), (4, 2, 2)]:
         hw = _hw(n_t, cap)
         snn = _snn(n_c)
-        seen = [tuple(a) for a in _assignment_table(snn, hw).tolist()]
+        seen = [m.assignment for m in _reference_mappings(snn, hw)]
         assert len(seen) == count_feasible_mappings(n_c, n_t, cap)
         assert len(set(seen)) == len(seen)
         assert seen == sorted(seen)
@@ -117,15 +118,36 @@ def test_enumerate_guard_is_eager():
     # 8 clusters on 8 tiles with capacity 8: 8^8 > 1e6. The guard must fire
     # before any row of the table is built.
     with pytest.raises(GuardExceededError) as err:
-        _assignment_table(_snn(8), _hw(8, tile_capacity=8))
+        _canonical_rows(_snn(8), _hw(8, tile_capacity=8))
     assert err.value.count == 8 ** 8
     assert str(8 ** 8) in str(err.value)
     assert err.value.limit == ENUMERATION_GUARD
 
 
+def test_guard_counts_every_feasible_mapping_not_the_orbits():
+    # 7 clusters on a 3x3 mesh of capacity 7: 9^7 feasible mappings, over the
+    # guard, in 598,965 orbits under the mesh's 8 isometries, which are not.
+    hw = HardwareConfig(num_tiles=9, crossbar_dim=64, mesh=(3, 3),
+                        device_profile=DeviceProfile(kind="diode_1D1R"), tile_capacity=7)
+    group = _mesh_automorphisms(3, 3)
+    # Burnside: a mapping is fixed by a map iff every cluster sits on a fixed tile
+    orbits = sum(int((perm == np.arange(9)).sum()) ** 7 for perm in group) // len(group)
+    assert orbits == 598_965 < ENUMERATION_GUARD
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardExceededError) as err:
+            _canonical_rows(_snn(7), hw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.count == 9 ** 7 == 4_782_969
+    # the canonical rows alone would take 598,965 x 7 x 8 bytes, about 34 MB
+    assert peak < 2 ** 20
+
+
 def test_enumerate_infeasible():
     with pytest.raises(InfeasibleError):
-        _assignment_table(_snn(3), _hw(2, tile_capacity=1))
+        _canonical_rows(_snn(3), _hw(2, tile_capacity=1))
 
 
 # ---------------------------------------------------------------- optimum
@@ -226,8 +248,7 @@ def test_pareto_matches_archive_extraction():
         ctx = _ctx(4, 2, tile_capacity=2, seed=seed, rate=80.0)
         oracle_front = brute_force_pareto(ctx.workload.snn, ctx.hw, ctx)
         entries = []
-        for a in _assignment_table(ctx.workload.snn, ctx.hw).tolist():
-            m = Mapping(a)
+        for m in _reference_mappings(ctx.workload.snn, ctx.hw):
             ev = ctx.evaluate(m)
             entries.append(ArchiveEntry(
                 assignment=m.assignment, tau=ev.tau, aging=ev.aging,
@@ -341,9 +362,6 @@ def _assert_matches_reference(workload, hw, perf=PerfParams()):
     ref_ctx = EvalContext(workload, hw, AgingParams(), perf)
     ctx = EvalContext(workload, hw, AgingParams(), perf)
     mappings = _reference_mappings(snn, hw)
-    assert [tuple(a) for a in _assignment_table(snn, hw).tolist()] == [
-        m.assignment for m in mappings]
-
     want = [ref_ctx.evaluate(m) for m in mappings]
     ref_map, ref_ev = _reference_optimum(mappings, want)
     ref_front = _reference_pareto(mappings, want)
@@ -442,13 +460,46 @@ def test_objective_table_keeps_one_row_per_orbit(instance):
     index = {tuple(r): i for i, r in enumerate(rows.tolist())}
     assert len(index) == len(rows)
     group = _mesh_automorphisms(*hw.mesh)
-    for a in _assignment_table(workload.snn, hw).tolist():
-        m = Mapping(a)
+    for m in _reference_mappings(workload.snn, hw):
         orbit = _orbit(m.assignment, group)
         (canonical,) = orbit & index.keys()  # exactly one canonical row
         assert canonical == min(orbit)
         i = index[canonical]
         assert ref_ctx.evaluate(m) == (ev.tau[i], ev.aging[i], ev.lam[i])
+
+
+# 1x1, 1xT, Tx1, rectangular and square meshes
+_ENUMERATION_MESHES = [(1, 1), (1, 2), (2, 1), (1, 3), (1, 5), (4, 1), (7, 1), (2, 2), (3, 2),
+                       (2, 3), (4, 2), (3, 3), (2, 4), (4, 4)]
+
+
+@st.composite
+def _enumerations(draw):
+    width, height = draw(st.sampled_from(_ENUMERATION_MESHES))
+    num_tiles = width * height
+    capacity = draw(st.integers(1, 3))
+    # up to the total capacity, wherever the reference generator stays fast
+    num_clusters = draw(st.sampled_from([
+        c for c in range(1, num_tiles * capacity + 1)
+        if count_feasible_mappings(c, num_tiles, capacity) <= 4000]))
+    hw = HardwareConfig(num_tiles=num_tiles, crossbar_dim=64, mesh=(width, height),
+                        device_profile=DeviceProfile(kind="diode_1D1R"), tile_capacity=capacity)
+    return _snn(num_clusters), hw
+
+
+@settings(max_examples=150, deadline=None)
+@given(_enumerations())
+def test_canonical_rows_are_the_orbit_minima_of_the_feasible_set(instance):
+    # The reference is two passes: every feasible row in lexicographic order,
+    # then the smallest member of each orbit under the independently built
+    # isometries, kept in that order.
+    snn, hw = instance
+    group = _mesh_automorphisms(*hw.mesh)
+    want = [m.assignment for m in _reference_mappings(snn, hw)
+            if m.assignment == min(_orbit(m.assignment, group))]
+    rows = _canonical_rows(snn, hw)
+    assert rows.dtype == np.int64 and rows.shape == (len(want), len(snn.clusters))
+    assert [tuple(r) for r in rows.tolist()] == want
 
 
 def _ring_of_seven(num_tiles, mesh, capacity, hop_latency, seed=5):
