@@ -35,6 +35,7 @@ from .config import (
     YEAR_SECONDS,
     ConfigError,
     RunConfig,
+    check_latencies,
     check_spike_counts,
     check_wear_rates,
     load_run_config,
@@ -60,6 +61,7 @@ from .swarm import (
     Evaluation,
     InfeasibleError,
     OptimizeResult,
+    _random_corner,
     lambdas,
     optimize,
     repair,
@@ -264,12 +266,13 @@ def _parse_axis_values(axis: str, text: str) -> list:
 
 
 def _hardware_variant(cfg: RunConfig, axis: str, value) -> HardwareConfig:
-    """cfg's hardware with axis set to value, its wear rates and the workload's
-    spike counts on its mesh checked."""
+    """cfg's hardware with axis set to value, its wear rates, and the
+    workload's spike counts and latencies on its mesh checked."""
     try:
         hw = _AXES[axis][1](cfg.hardware, value)
         check_wear_rates(cfg.aging, hw)
         check_spike_counts(cfg.workload.snn, hw)
+        check_latencies(cfg.workload.snn, hw, cfg.perf)
     except ValueError as e:  # ConfigError included
         raise ConfigError(f"--values: {e}") from e
     return hw
@@ -299,11 +302,10 @@ def cmd_compare(args, cfg: RunConfig, out_dir: Path) -> int:
     # Random baseline: repaired uniform-random corners, one shared stream.
     # Medians are taken per metric, so the row is not one single mapping.
     rng = np.random.default_rng(cfg.pso_with_seed(args.seed).seed)
-    num_clusters = len(cfg.workload.snn.clusters)
+    shape = (len(cfg.workload.snn.clusters), hw.num_tiles)
     assignments = []
     for _ in range(cfg.n_random):
-        bits = rng.integers(0, 2, size=(num_clusters, hw.num_tiles))
-        pref = rng.random((num_clusters, hw.num_tiles))
+        bits, pref = _random_corner(rng, shape)
         assignments.append(repair(bits, hw, rng, pref=pref).assignment)
     samples = ctx_joint.evaluate_rows(np.array(assignments))
     rand_tau = statistics.median(samples.tau.tolist())

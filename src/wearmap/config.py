@@ -282,6 +282,25 @@ def check_spike_counts(snn: ClusteredSnn, hw: HardwareConfig) -> None:
             f"{width}x{height} mesh, is past the floats") from None
 
 
+def check_latencies(snn: ClusteredSnn, hw: HardwareConfig, perf: PerfParams) -> None:
+    """Refuse latencies that can make the execution time past the floats.
+    spike_hop_bound bounds both a tile's spike arrivals and a mapping's
+    spike-hops, so tau is at most bound * spike_latency + bound * hop_latency;
+    an inf tau made every mapping tie, and lambda = inf * 0 NaN."""
+    bound = spike_hop_bound(snn, hw)
+    try:
+        tau = bound * perf.spike_latency + bound * perf.hop_latency
+    except OverflowError:
+        tau = math.inf
+    if not math.isfinite(tau):
+        width, height = hw.mesh
+        raise ConfigError(
+            f"perf: spike_latency {perf.spike_latency!r} s and hop_latency "
+            f"{perf.hop_latency!r} s, each times {bound}, the bound on a tile's spike "
+            f"arrivals and a mapping's spike-hops on the {width}x{height} mesh, put the "
+            "execution time past the floats")
+
+
 def _check_pulse_width(hw: HardwareConfig, workload: Workload) -> None:
     """Refuse a spike_pulse_width too small to lengthen some spike time: when
     t + width rounds back to t, that pulse has no duration, and the stress
@@ -349,9 +368,10 @@ def parse_run_config(text: str) -> RunConfig:
     except yaml.YAMLError as e:
         raise ConfigError(f"config is not valid YAML: {e}") from e
     d = _fields(root, "config", _ROOT_KINDS, required=("hardware", "workload"))
-    aging = d.get("aging", AgingParams())
+    aging, perf = d.get("aging", AgingParams()), d.get("perf", PerfParams())
     check_wear_rates(aging, d["hardware"])
     check_spike_counts(d["workload"].snn, d["hardware"])
+    check_latencies(d["workload"].snn, d["hardware"], perf)
     _check_pulse_width(d["hardware"], d["workload"])
 
     return RunConfig(
@@ -362,7 +382,7 @@ def parse_run_config(text: str) -> RunConfig:
         n_random=d.get("n_random", 25),
         hardware=d["hardware"],
         aging=aging,
-        perf=d.get("perf", PerfParams()),
+        perf=perf,
         pso=d.get("pso", PsoConfig()),
         workload=d["workload"],
     )

@@ -2,13 +2,15 @@
 
 A mapping is a binary matrix (cluster x tile) constrained to one tile per
 cluster and at most tile_capacity clusters per tile. Particles carry real
-positions and velocities of dimension |C|*|T|; each step moves toward personal
-and global bests, stochastically binarizes through a sigmoid of the velocity,
-and repairs the resulting matrix back into the feasible set. The scalar being
-minimized is lambda = tau * aging, taken as 0 when tau is 0 (or tau alone
-when the context selects the time-only objective). Every feasible evaluation
-lands in an archive, the only store of evaluations: the (tau, aging) Pareto
-front and the best mapping's evaluation are both read from it afterwards.
+(|C|, |T|) positions and velocities; each step moves toward the one-hot
+corners of the personal bests (each an assignment row) and of the global best
+(the index of the particle holding it), stochastically binarizes through a
+sigmoid of the velocity, and repairs the result into the feasible set. The
+scalar being minimized is lambda = tau * aging, taken as 0 when tau is 0 (or
+tau alone when the context selects the time-only objective). Every feasible
+evaluation lands in an archive, the only store of evaluations: the (tau,
+aging) Pareto front and the best mapping's evaluation are both read from it
+afterwards.
 
 A step works on the whole swarm at once: one sigmoid of the (n_p, C, T)
 velocity, which feeds both the bit draw (the one binarize also makes) and
@@ -23,8 +25,8 @@ Initialization is that same update applied to the random starting corners
 as iteration 0, and evaluate is the validated one-mapping case. Python loops
 over particles only for the overloaded rows repair has to move and for the
 archive, and over hosted sets only for those not yet cached; the improved
-personal-best corners are written in one scatter. The front is one sweep
-over the archive sorted by (tau, aging).
+personal-best rows are written in one masked assignment. The front is one
+sweep over the archive sorted by (tau, aging).
 
 All randomness flows from one seeded generator, and best-updates reduce in
 particle-index order, so a run is a pure function of (instance, config).
@@ -207,12 +209,11 @@ class ArchiveEntry:
 class SwarmState:
     """Mutable swarm snapshot; single writer, stepped in place."""
 
-    positions: np.ndarray  # (n_p, D) real
-    velocities: np.ndarray  # (n_p, D) real
-    p_best_pos: np.ndarray  # (n_p, D) binary corners of repaired bests
-    p_best_fit: np.ndarray  # (n_p,)
-    g_best_pos: np.ndarray  # (D,) binary corner of the global best
-    g_best_fit: float
+    positions: np.ndarray  # (n_p, C, T) real
+    velocities: np.ndarray  # (n_p, C, T) real
+    p_best: np.ndarray  # (n_p, C) int64 assignments of the personal bests
+    p_best_fit: np.ndarray  # (n_p,) their objective values
+    g_best: int  # the particle whose personal best is the global best
     iteration: int
     rng: np.random.Generator
     archive: dict[tuple[int, ...], ArchiveEntry] = field(default_factory=dict)
@@ -346,61 +347,61 @@ def repair(
     return Mapping(repair_rows(b[None], prefm[None], hw)[0].tolist())
 
 
+def _random_corner(rng: np.random.Generator,
+                   shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """A random starting corner's uniform bits, then its repair preference."""
+    return rng.integers(0, 2, shape), rng.random(shape)
+
+
 def _corners(rows: np.ndarray, num_tiles: int) -> np.ndarray:
     """The binary corner of every row of an (n, C) assignment array: its
-    one-hot (C, T) matrix, flattened."""
-    n, num_clusters = rows.shape
-    out = np.zeros((n, num_clusters * num_tiles))
-    out[np.arange(n)[:, None], np.arange(num_clusters) * num_tiles + rows] = 1.0
+    one-hot (C, T) matrix, as an (n, C, T) float array."""
+    out = np.zeros((*rows.shape, num_tiles))
+    np.put_along_axis(out, rows[..., None], 1.0, axis=2)
     return out
 
 
 def _update(state: SwarmState, rows: np.ndarray, ctx: EvalContext) -> None:
     """Evaluate one iteration's repaired rows in one batch, archive each new
-    assignment in particle order, update personal bests on strict improvement
-    (the improved corners written in one scatter), then the global best: ties
-    keep the incumbent, and equal minima resolve to the lowest particle index."""
+    assignment in particle order, update personal bests on strict improvement,
+    then the global best: only a minimum strictly below the incumbent's value
+    before this update moves it (to the lowest index of that minimum)."""
     ev = ctx.evaluate_rows(rows)
     for assignment, *values in zip(map(tuple, rows.tolist()), *(c.tolist() for c in ev)):
         if assignment not in state.archive:  # values: tau, aging, lam
             state.archive[assignment] = ArchiveEntry(assignment, *values, state.iteration)
     scalar = ev.lam if ctx.objective == "lambda" else ev.tau
+    incumbent = state.p_best_fit[state.g_best]
     improved = scalar < state.p_best_fit
     state.p_best_fit[improved] = scalar[improved]
-    state.p_best_pos[improved] = _corners(rows[improved], ctx.hw.num_tiles)
+    state.p_best[improved] = rows[improved]
     best = int(np.argmin(state.p_best_fit))
-    if state.p_best_fit[best] < state.g_best_fit:
-        state.g_best_fit = float(state.p_best_fit[best])
-        state.g_best_pos = state.p_best_pos[best].copy()
+    if state.p_best_fit[best] < incumbent:
+        state.g_best = best
 
 
 def initialize_swarm(cfg: PsoConfig, ctx: EvalContext) -> SwarmState:
     """Seeded start: every particle sits at a repaired random binary corner
-    with zero velocity. The draws stay per particle (bits, then pref); repair
+    with zero velocity. The draws stay per particle (_random_corner); repair
     runs once over the stacked arrays, and the update step evaluates and
-    archives them as iteration 0, from personal bests of inf and particle 0's
-    corner as the global best (which an all-inf swarm keeps)."""
-    snn = ctx.workload.snn
-    num_clusters = len(snn.clusters)
-    num_tiles = ctx.hw.num_tiles
+    archives them as iteration 0, from those rows as personal bests of inf and
+    particle 0 as the global best (which an all-inf swarm keeps)."""
+    num_clusters = len(ctx.workload.snn.clusters)
     require_capacity(num_clusters, ctx.hw)
     n_p, _ = cfg.resolved(num_clusters)
     rng = np.random.default_rng(cfg.seed)
-
-    bits = np.empty((n_p, num_clusters, num_tiles), dtype=np.int64)
-    prefs = np.empty((n_p, num_clusters, num_tiles))
+    shape = (num_clusters, ctx.hw.num_tiles)
+    bits, prefs = np.empty((n_p, *shape), dtype=np.int64), np.empty((n_p, *shape))
     for i in range(n_p):
-        bits[i] = rng.integers(0, 2, (num_clusters, num_tiles))
-        prefs[i] = rng.random((num_clusters, num_tiles))
+        bits[i], prefs[i] = _random_corner(rng, shape)
     rows = repair_rows(bits, prefs, ctx.hw)
-    positions = _corners(rows, num_tiles)
+    positions = _corners(rows, ctx.hw.num_tiles)
     state = SwarmState(
         positions=positions,
         velocities=np.zeros_like(positions),
-        p_best_pos=positions.copy(),
+        p_best=rows,
         p_best_fit=np.full(n_p, math.inf),
-        g_best_pos=positions[0].copy(),
-        g_best_fit=math.inf,
+        g_best=0,
         iteration=0,
         rng=rng,
     )
@@ -418,21 +419,20 @@ def step_swarm(state: SwarmState, cfg: PsoConfig, ctx: EvalContext) -> SwarmStat
     repaired with it as the preference. The update that also ends
     initialize_swarm then evaluates, archives and updates the bests.
     """
-    n_p, dim = state.positions.shape
-
-    r1 = state.rng.random((n_p, dim))
-    r2 = state.rng.random((n_p, dim))
+    best = _corners(state.p_best, ctx.hw.num_tiles)
+    r1 = state.rng.random(state.positions.shape)
+    r2 = state.rng.random(state.positions.shape)
     vel = (
         state.velocities
-        + cfg.phi1 * r1 * (state.p_best_pos - state.positions)
-        + cfg.phi2 * r2 * (state.g_best_pos - state.positions)
+        + cfg.phi1 * r1 * (best - state.positions)
+        + cfg.phi2 * r2 * (best[state.g_best] - state.positions)
     )
     np.clip(vel, -cfg.v_clamp, cfg.v_clamp, out=vel)
     state.velocities = vel
     state.positions = state.positions + vel
     state.iteration += 1
 
-    vhat = _sigmoid(vel.reshape(n_p, -1, ctx.hw.num_tiles))
+    vhat = _sigmoid(vel)
     _update(state, repair_rows(_draw_bits(vhat, state.rng), vhat, ctx.hw), ctx)
     return state
 
@@ -523,19 +523,17 @@ class OptimizeResult:
 def optimize(
     snn: ClusteredSnn, hw: HardwareConfig, cfg: PsoConfig, ctx: EvalContext
 ) -> OptimizeResult:
-    """Full swarm run: seeded init, max_iterations steps, front extraction."""
+    """Full swarm run: seeded init, max_iterations steps, front extraction;
+    the best mapping's values are read from the archive."""
     if ctx.workload.snn != snn or ctx.hw != hw:
         raise ValueError("ctx was built for a different instance")
-    num_clusters = len(snn.clusters)
-    n_p, iters = cfg.resolved(num_clusters)
+    n_p, iters = cfg.resolved(len(snn.clusters))
     resolved = replace(cfg, n_particles=n_p, max_iterations=iters)
     state = initialize_swarm(resolved, ctx)
     for _ in range(iters):
         step_swarm(state, resolved, ctx)
     front = extract_pareto(state.archive.values())
-    # g_best is always an evaluated corner, so the archive holds its values.
-    corner = state.g_best_pos.reshape(num_clusters, -1)
-    best = state.archive[tuple(corner.argmax(axis=1).tolist())]
+    best = state.archive[tuple(state.p_best[state.g_best].tolist())]
     return OptimizeResult(
         mapping=Mapping(best.assignment),
         evaluation=Evaluation(best.tau, best.aging, best.lam),

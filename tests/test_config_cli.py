@@ -371,6 +371,12 @@ _MESSAGES = [
     _P(BASE.replace("spike_count: 3", f"spike_count: {10 ** 400}"),
        "workload edges: the spike_count total, times the longest route on the 2x1 mesh, "
        "is past the floats", id="spike_count_past_floats"),
+    # tau = 3 * 1e308 s is inf, and with silent trains lambda = inf * 0 is NaN
+    _P(BASE + "perf: {spike_latency: 1.0e+308}\n",
+       "perf: spike_latency 1e+308 s and hop_latency 1e-07 s, each times 3, the bound on a "
+       "tile's spike arrivals and a mapping's spike-hops on the 2x1 mesh, put the execution "
+       "time past the floats",
+       id="spike_latency_past_floats"),
     _P("n_random: 2.5\n" + BASE, "config.n_random: expected an integer", id="n_random_type"),
     _P("n_random: true\n" + BASE, "config.n_random: expected an integer", id="n_random_bool"),
     _P("n_random: 0\n" + BASE, "config.n_random: must be >= 1", id="n_random_range"),
@@ -515,6 +521,32 @@ def test_cli_spike_count_past_the_floats_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: --values: workload edges: the spike_count total, times the longest route on "
         "the 7x1 mesh, is past the floats\n")
+
+
+def test_cli_latency_past_the_floats_exits_2(tmp_path, capsys):
+    # tau overflowed to inf; with both trains empty the aging is 0, so lambda
+    # was inf * 0 = NaN: map and verify ended in _write_json's ValueError
+    # (exit 1, the mismatch code), and compare exited 0
+    silent = BASE.replace("a: [0.1, 0.4, 0.7]", "a: []").replace("b: [0.2, 0.5]", "b: []")
+    p = _write(tmp_path, silent + "perf: {spike_latency: 1.0e+308}\n")
+    for command in ("map", "verify", "compare"):
+        assert main([command, "--config", str(p), "--output", str(tmp_path / command)]) == 2
+        assert capsys.readouterr().err == (
+            "error: perf: spike_latency 1e+308 s and hop_latency 1e-07 s, each times 3, the "
+            "bound on a tile's spike arrivals and a mapping's spike-hops on the 2x1 mesh, put "
+            "the execution time past the floats\n")
+    # 3 * 1e307 s fits the floats on the 2x1 mesh, but 18 * 1e307 s does not on
+    # the 7x1 mesh that sweep derives for 7 tiles, where the longest route is 6
+    p = _write(tmp_path, silent + "perf: {spike_latency: 1.0e+307}\n")
+    assert main(["sweep", "--config", str(p), "--output", str(tmp_path / "sweep2"),
+                 "--axis", "num_tiles", "--values", "2"]) == 0
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(p), "--output", str(tmp_path / "sweep7"),
+                 "--axis", "num_tiles", "--values", "7"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --values: perf: spike_latency 1e+307 s and hop_latency 1e-07 s, each times 18, "
+        "the bound on a tile's spike arrivals and a mapping's spike-hops on the 7x1 mesh, put "
+        "the execution time past the floats\n")
 
 
 @pytest.mark.parametrize("count", [2 ** 63, 2 ** 64 - 1, 10 ** 308])
@@ -1009,6 +1041,36 @@ def test_cli_calibrate_medium_matches_golden(tmp_path, capsys):
     capsys.readouterr()
     assert hashlib.sha256((out / "calibrated_params.json").read_bytes()).hexdigest() == (
         "5f127f433691513a5c4b91ea01eb341d786d23512d7ba1ce4157eafb8a42d9b5")
+
+
+# SHA-256 of every JSON/CSV file map and compare write on medium.yaml with
+# --seed 5, recorded before the swarm kept its personal bests as assignment
+# rows. Its tiles hold three clusters each, so the swarm's repair and the
+# random baseline's evict onto shared tiles, which baseline.yaml never does.
+_GOLDEN_MEDIUM = {
+    "map": {
+        "archive.csv": "0e214968ff44ec55b1d7ce06c7c006a0268b87d52e2f9e507133dae7c2b75ecd",
+        "front.csv": "f7f737b8791633512d88b4f5162a4a559500abf835476a935eaea7146394a3fe",
+        "front.json": "e28036067e9b27c8a07915be44cbe10c9b2b6c53451b75ebf551e94fd6690f6d",
+        "mapping.json": "23469292d3dbf8f8b1b9c9fc1161b15ca7f845d2e93075c93e485c7ac9446812",
+        "report.csv": "c42420fa9395428c6ff2a88cf9215e1fedbdb3b83ab8dde330b06ca45e914f01",
+        "summary.json": "cf40665e3252a9c0ddc490d118ef22051f72d826884fb415597593a95125af6f",
+    },
+    "compare": {
+        "compare.csv": "753415c8b217406cd12d90a7b471362bf787eacdc7bf4d1d18bc283eddc0a452",
+    },
+}
+
+
+@pytest.mark.parametrize("command", list(_GOLDEN_MEDIUM))
+def test_cli_medium_outputs_match_golden(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([command, "--config", str(_BASELINE.with_name("medium.yaml")),
+                 "--output", str(out), "--seed", "5"]) == 0
+    capsys.readouterr()
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.iterdir() if p.suffix in (".json", ".csv")}
+    assert digests == _GOLDEN_MEDIUM[command]
 
 
 def test_cli_verify_enumerates_the_feasible_set_once(tmp_path, capsys):

@@ -587,29 +587,37 @@ def test_initialize_swarm_feasible_and_evaluated():
     ctx = _ctx(num_clusters=3, num_tiles=3)
     cfg = PsoConfig(n_particles=8, max_iterations=10, seed=1)
     state = initialize_swarm(cfg, ctx)
-    assert state.positions.shape == (8, 9)
-    assert state.velocities.shape == (8, 9)
+    assert state.positions.shape == (8, 3, 3)
+    assert state.velocities.shape == (8, 3, 3)
     assert np.all(state.velocities == 0.0)
+    assert state.p_best.shape == (8, 3) and state.p_best.dtype == np.int64
+    assert np.array_equal(_corners(state.p_best, 3), state.positions)
     assert state.iteration == 0
     assert len(state.archive) >= 1
-    assert state.g_best_fit == min(state.p_best_fit)
+    assert state.p_best_fit[state.g_best] == min(state.p_best_fit)
     snn = ctx.workload.snn
     for entry in state.archive.values():
         assert mapping_violations(Mapping(entry.assignment), snn, ctx.hw) == []
 
 
+def _all_infinite_ctx(objective):
+    # alpha ~ 1e-313: every aging, and so every lambda, is inf
+    base = _ctx(num_clusters=3, num_tiles=3)
+    return EvalContext(base.workload, base.hw, AgingParams(tddb=TddbParams(gamma=425.0)),
+                       PerfParams(), objective=objective)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered in divide")
 def test_initialize_all_infinite_swarm_keeps_particle_zero():
-    # alpha ~ 1e-313: every aging, and so every lambda, is inf. No personal
-    # best improves on the starting inf, and the global best stays particle
-    # 0's corner, the one argmin picks out of an all-inf swarm.
-    base = _ctx(num_clusters=3, num_tiles=3)
-    ctx = EvalContext(base.workload, base.hw, AgingParams(tddb=TddbParams(gamma=425.0)),
-                      PerfParams())
+    # Every lambda is inf. No personal best improves on the starting inf, and
+    # the global best stays particle 0, the one argmin picks out of an all-inf
+    # swarm.
+    ctx = _all_infinite_ctx("lambda")
     state = initialize_swarm(PsoConfig(n_particles=6, max_iterations=0, seed=4), ctx)
-    assert np.all(state.p_best_fit == math.inf) and state.g_best_fit == math.inf
-    assert np.array_equal(state.p_best_pos, state.positions)
-    assert np.array_equal(state.g_best_pos, state.positions[0])
+    assert np.all(state.p_best_fit == math.inf) and state.g_best == 0
+    # every personal best is still its particle's repaired starting row
+    assert np.array_equal(state.p_best, state.positions.argmax(axis=2))
+    assert np.array_equal(_corners(state.p_best, 3), state.positions)
     assert {e.iteration for e in state.archive.values()} == {0}
 
 
@@ -637,36 +645,84 @@ def test_step_velocity_clamped():
 
 @pytest.mark.parametrize("objective", ["lambda", "tau"])
 def test_update_tie_keeps_personal_best_corner(objective):
-    # A new value equal to the personal best is no improvement, so particle 0
-    # keeps its old corner; particle 1's value is strictly lower and moves it.
-    # The global best ties as well and keeps its incumbent.
+    # A new value equal to the personal best is no improvement, so particles 0
+    # and 2 keep their old rows; particle 1's value is strictly lower and moves
+    # it. The two rows mirror each other on the 3x1 mesh, so all three values
+    # tie: the global best keeps its incumbent, particle 2, though argmin of
+    # the personal bests is particle 0.
     ctx = _ctx(num_clusters=3, num_tiles=3, objective=objective)
-    rows = np.array([[0, 1, 2], [2, 1, 0]])
+    rows = np.array([[0, 1, 2], [2, 1, 0], [0, 1, 2]])
     ev = ctx.evaluate_rows(rows)
     value = ev.lam if objective == "lambda" else ev.tau
-    old = np.full((2, 9), 0.5)  # no repaired row has this corner
-    state = SwarmState(positions=old.copy(), velocities=np.zeros_like(old),
-                       p_best_pos=old.copy(),
-                       p_best_fit=np.array([value[0], np.nextafter(value[1], np.inf)]),
-                       g_best_pos=old[0].copy(), g_best_fit=float(value.min()),
-                       iteration=1, rng=np.random.default_rng(0))
+    assert value[0] == value[1] == value[2]
+    old = np.array([[1, 0, 2], [1, 2, 0], [2, 0, 1]])  # none of them in rows
+    state = SwarmState(positions=_corners(old, 3), velocities=np.zeros((3, 3, 3)),
+                       p_best=old.copy(),
+                       p_best_fit=np.array([value[0], np.nextafter(value[1], np.inf),
+                                            value[2]]),
+                       g_best=2, iteration=1, rng=np.random.default_rng(0))
     _update(state, rows, ctx)
     assert state.p_best_fit.tolist() == value.tolist()
-    assert np.array_equal(state.p_best_pos[0], old[0])
-    assert np.array_equal(state.p_best_pos[1], _corners(rows[1:], 3)[0])
-    assert np.array_equal(state.g_best_pos, old[0]) and state.g_best_fit == value.min()
+    assert state.p_best.tolist() == [old[0].tolist(), rows[1].tolist(), old[2].tolist()]
+    assert state.g_best == 2
+
+
+@pytest.mark.parametrize("objective", ["lambda", "tau"])
+def test_update_improved_incumbent_yields_to_lowest_index(objective):
+    # Both particles tie above the new value, and the incumbent is particle 1.
+    # Both improve to the same value: that is strictly below the incumbent's
+    # value before the update, so the global best moves to the lowest index of
+    # the new minimum, particle 0, although particle 1 improved as well.
+    ctx = _ctx(num_clusters=3, num_tiles=3, objective=objective)
+    rows = np.array([[0, 1, 2], [2, 1, 0]])  # mirror images: equal values
+    ev = ctx.evaluate_rows(rows)
+    value = ev.lam if objective == "lambda" else ev.tau
+    old = np.array([[1, 0, 2], [1, 2, 0]])
+    state = SwarmState(positions=_corners(old, 3), velocities=np.zeros((2, 3, 3)),
+                       p_best=old.copy(), p_best_fit=np.full(2, np.nextafter(value[0], np.inf)),
+                       g_best=1, iteration=1, rng=np.random.default_rng(0))
+    _update(state, rows, ctx)
+    assert state.p_best.tolist() == rows.tolist()
+    assert state.g_best == 0
 
 
 def test_g_best_monotone_non_increasing():
     ctx = _ctx(num_clusters=4, num_tiles=2, tile_capacity=2, seed=11)
     cfg = PsoConfig(n_particles=10, max_iterations=30, seed=4)
     state = initialize_swarm(cfg, ctx)
-    fits = [state.g_best_fit]
+    fits = [state.p_best_fit[state.g_best]]
     for _ in range(30):
         step_swarm(state, cfg, ctx)
-        fits.append(state.g_best_fit)
+        fits.append(state.p_best_fit[state.g_best])
     assert all(a >= b for a, b in zip(fits, fits[1:]))
-    assert state.g_best_fit == min(state.p_best_fit)
+    assert state.p_best_fit[state.g_best] == min(state.p_best_fit)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide")
+@pytest.mark.parametrize("objective", ["lambda", "tau"])
+@pytest.mark.parametrize("make_ctx, n_p, seed", [
+    (lambda o: _ctx(num_clusters=3, num_tiles=3, objective=o), 6, 1),
+    (lambda o: _ctx(num_clusters=4, num_tiles=2, tile_capacity=2, seed=11, objective=o), 10, 4),
+    (lambda o: _ctx(num_clusters=7, num_tiles=4, tile_capacity=2, seed=5, objective=o), 8, 2),
+    (lambda o: _ctx(num_clusters=8, num_tiles=3, tile_capacity=3, seed=9, objective=o), 12, 7),
+    (_all_infinite_ctx, 6, 4),
+], ids=["3x3_cap1", "4x2_cap2", "7x4_cap2", "8x3_cap3", "all_inf"])
+def test_swarm_bests_are_archived_and_g_best_holds_the_minimum(make_ctx, n_p, seed,
+                                                                objective):
+    # After the start and after every step, each personal best is an archived
+    # assignment whose objective value is its p_best_fit, and the global best
+    # holds the smallest of them.
+    ctx = make_ctx(objective)
+    cfg = PsoConfig(n_particles=n_p, max_iterations=12, seed=seed)
+    state = initialize_swarm(cfg, ctx)
+    for step in range(13):
+        if step:
+            step_swarm(state, cfg, ctx)
+        assert state.p_best.shape == (n_p, len(ctx.workload.snn.clusters))
+        for row, fit in zip(state.p_best.tolist(), state.p_best_fit.tolist()):
+            entry = state.archive[tuple(row)]
+            assert (entry.lam if objective == "lambda" else entry.tau) == fit
+        assert state.p_best_fit[state.g_best] == state.p_best_fit.min()
 
 
 # ---------------------------------------------------------------- optimize
