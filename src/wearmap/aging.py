@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Collection
+from typing import Collection, Iterable
 
 import numpy as np
 
@@ -377,6 +377,85 @@ def hosted_set_mechanism_agings(
         _run_strain_sum(segments, runs, n, c_active, c_idle)
         for n, c_active, c_idle in strain
     ))
+
+
+def hosted_set_aging_bounds(
+    member_sets: Iterable[Collection[int]],
+    workload: Workload,
+    hw: HardwareConfig,
+    p: AgingParams,
+) -> np.ndarray:
+    """Upper bounds on combine_aging(*hosted_set_mechanism_agings(members, ...))
+    for each of member_sets, from one count per set: the spikes N of its source
+    union (members and predecessors), duplicates across trains counted, which
+    is the length of the kernel's concatenated times. A set with no spikes
+    gets exactly 0.0, its aging, and a bound that is not finite comes back as
+    inf. Raises ValueError, as the kernel does, for a set whose sources spike
+    outside [0, window): the bounds assume they do not.
+
+    Why they hold. Let W be the window, w the pulse width and u = ulp(W). The
+    kernel's durations are float differences of values in [0, W], each within
+    u/2 of the real one.
+    - The pulse runs and idle gaps tile [0, W] exactly before rounding, and
+      there are at most 2N rounded ones, so any of their sums is at most
+      W' = W + (N + 2) u. There are R <= N runs and at most N + 1 gaps.
+    - A pulse ends at most u/2 past t + w, and a run of m pulses starts each
+      pulse no later than the previous one ends, so it lasts at most
+      m (w + u/2) + u/2 <= m (w + 2u). The runs sum to at most
+      A = min(W', N (w + 2u)).
+    - TDDB sums d / alpha: at most A / alpha_active + W' / alpha_idle.
+    - A strain mechanism sums c d^n over k segments of total D. For n >= 1,
+      d^n is superadditive, so the sum is at most c D^n. For n < 1, the power
+      mean gives c k^(1-n) D^n. So c_active N^max(0, 1-n) A^n bounds the
+      runs, and c_idle (N + 1)^max(0, 1-n) W'^n the gaps; a coefficient of
+      None adds nothing, as in the kernel.
+    - combine_aging returns (ln(1 + sum_k (e^x_k - 1)))^(1/beta) with
+      x_k = A_k^beta, or a lone mechanism as it is, which is no more. Since
+      e^x - 1 <= x e^x and ln(1 + y) <= y, this is at most
+      (e^max(x) sum(x))^(1/beta), which grows with every A_k.
+    - Rounding. While they stay normal, the kernel's terms, its sums (each
+      rounded once), combine_aging's steps and this function's own are all
+      within a few ulps, relative; the factor 1 + 1e-6 covers them. A
+      subnormal result rounds by up to 2^-1075 absolutely, and a strain
+      coefficient c can scale that: each mechanism bound gets
+      (2N + 2) 2^-1074 (1 + its coefficients) added for the kernel's terms
+      and sum, and sum(x) gets 2^-1000 for combine_aging's x_k and its sum.
+    """
+    snn = workload.snn
+    window = snn.workload_window
+    trains = [workload.trains[c.id].times for c in snn.clusters]
+    lengths, ends = [t.size for t in trains], [t[-1] if t.size else 0.0 for t in trains]
+    counts = []
+    for members in member_sets:
+        sources = set(members)
+        for ci in members:
+            sources |= snn.predecessor_sets[ci]
+        if any(ends[ci] >= window for ci in sources):
+            raise ValueError("spike times must lie within [0, window)")
+        counts.append(sum(lengths[ci] for ci in sources))
+    count = np.asarray(counts, dtype=np.float64)
+    ulp = math.ulp(window)
+    tiny = (2.0 * count + 2.0) * 2.0 ** -1074
+    (a_active, a_idle), strain = _run_constants(hw.device_profile, hw.temperature, p)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+        span = window + (count + 2.0) * ulp
+        active = np.minimum(span, count * (hw.device_profile.spike_pulse_width + 2.0 * ulp))
+        mechanisms = [active / a_active + span / a_idle + tiny]
+        for n, c_active, c_idle in strain:
+            if c_active is None:
+                continue
+            spread = max(0.0, 1.0 - n)
+            bound = c_active * count ** spread * active ** n + tiny * (1.0 + c_active)
+            if c_idle is not None:
+                bound += c_idle * (count + 1.0) ** spread * span ** n + tiny * c_idle
+            mechanisms.append(bound)
+        beta = p.tddb.beta
+        x = [m ** beta for m in mechanisms]
+        bounds = (np.exp(np.maximum.reduce(x)) * sum(x) + 2.0 ** -1000) ** (1.0 / beta)
+        bounds *= 1.0 + 1e-6
+    bounds[~np.isfinite(bounds)] = math.inf
+    bounds[count == 0.0] = 0.0
+    return bounds
 
 
 @lru_cache(maxsize=16)

@@ -279,9 +279,13 @@ def _hardware_variant(cfg: RunConfig, axis: str, value) -> HardwareConfig:
 
 
 def cmd_sweep(args, cfg: RunConfig, out_dir: Path) -> int:
+    values = _parse_axis_values(args.axis, args.values)
+    # Every variant is checked before the first search, so a refused value
+    # exits at once.
+    variants = [_hardware_variant(cfg, args.axis, value) for value in values]
     results = []
-    for value in _parse_axis_values(args.axis, args.values):
-        *_, ev = _search(cfg, args.seed, _hardware_variant(cfg, args.axis, value))
+    for value, hw in zip(values, variants):
+        *_, ev = _search(cfg, args.seed, hw)
         results.append((args.axis, value, ev.tau, ev.aging))
     header = ["axis", "value", "tau", "aging", "mttf", "tau_norm", "aging_norm", "mttf_norm"]
     rows = _relative_rows(cfg, results)

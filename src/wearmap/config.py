@@ -283,22 +283,23 @@ def check_spike_counts(snn: ClusteredSnn, hw: HardwareConfig) -> None:
 
 
 def check_latencies(snn: ClusteredSnn, hw: HardwareConfig, perf: PerfParams) -> None:
-    """Refuse latencies that can make the execution time past the floats.
-    spike_hop_bound bounds both a tile's spike arrivals and a mapping's
-    spike-hops, so tau is at most bound * spike_latency + bound * hop_latency;
-    an inf tau made every mapping tie, and lambda = inf * 0 NaN."""
-    bound = spike_hop_bound(snn, hw)
+    """Refuse latencies that can make the execution time past the floats. No
+    tile's spike arrivals exceed the spike total, and no mapping's spike-hops
+    exceed spike_hop_bound, so tau is at most total * spike_latency +
+    spike_hop_bound * hop_latency; an inf tau made every mapping tie, and
+    lambda = inf * 0 NaN."""
+    total = sum(c for _, _, c in snn.resolved_edges)
+    hops = spike_hop_bound(snn, hw)
     try:
-        tau = bound * perf.spike_latency + bound * perf.hop_latency
+        tau = total * perf.spike_latency + hops * perf.hop_latency
     except OverflowError:
         tau = math.inf
     if not math.isfinite(tau):
         width, height = hw.mesh
         raise ConfigError(
-            f"perf: spike_latency {perf.spike_latency!r} s and hop_latency "
-            f"{perf.hop_latency!r} s, each times {bound}, the bound on a tile's spike "
-            f"arrivals and a mapping's spike-hops on the {width}x{height} mesh, put the "
-            "execution time past the floats")
+            f"perf: spike_latency {perf.spike_latency!r} s times {total}, the spike total, "
+            f"and hop_latency {perf.hop_latency!r} s times {hops}, the bound on a mapping's "
+            f"spike-hops on the {width}x{height} mesh, put the execution time past the floats")
 
 
 def _check_pulse_width(hw: HardwareConfig, workload: Workload) -> None:

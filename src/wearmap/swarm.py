@@ -17,16 +17,18 @@ velocity, which feeds both the bit draw (the one binarize also makes) and
 repair's preference, and one repair_rows over all particles. One update then
 evaluates the repaired rows with one EvalContext.evaluate_rows, the batch
 evaluator the oracle also calls, which returns float64 columns of tau
-(perf.execution_times), aging (worst_tile_agings, which reads each tile's
-aging from a cache keyed by its hosted set's bitmask) and lambda, block by
-block (the only place a batch is split); it archives them and updates the
-personal bests in one comparison.
+(perf.execution_times), aging (worst_tile_agings) and lambda, block by block
+(the only place a batch is split); it archives them and updates the personal
+bests in one comparison. A mapping's aging is its worst tile's (a series
+system), so worst_tile_agings reads each tile's aging, or an upper bound on
+it, from a cache keyed by its hosted set's bitmask, and sends a set to the
+kernel only when its bound can still reach its row's worst.
 Initialization is that same update applied to the random starting corners
 as iteration 0, and evaluate is the validated one-mapping case. Python loops
 over particles only for the overloaded rows repair has to move and for the
-archive, and over hosted sets only for those not yet cached; the improved
-personal-best rows are written in one masked assignment. The front is one
-sweep over the archive sorted by (tau, aging).
+archive, and over hosted sets only for those not yet cached and those the
+kernel computes; the improved personal-best rows are written in one masked
+assignment. The front is one sweep over the archive sorted by (tau, aging).
 
 All randomness flows from one seeded generator, and best-updates reduce in
 particle-index order, so a run is a pure function of (instance, config).
@@ -37,12 +39,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import filterfalse
+from itertools import islice, repeat
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .aging import AgingParams, combine_aging, hosted_set_mechanism_agings
+from .aging import (AgingParams, combine_aging, hosted_set_aging_bounds,
+                    hosted_set_mechanism_agings)
 from .model import ClusteredSnn, HardwareConfig, Mapping, Workload
 from .perf import PerfParams, execution_time, execution_times
 
@@ -50,6 +53,12 @@ from .perf import PerfParams, execution_time, execution_times
 # evaluate_rows takes a batch in blocks of at most this many (edge, tile or
 # cluster) x row cells, so no batch, however large, is held as one (n, E) array.
 _BLOCK_CELLS = 1 << 16
+
+# The tile cache's entry for a hosted set seen before it has a finite bound
+# (or that has none): it reads as an infinite bound, so the set goes to the
+# kernel whenever a row reaches it. Exact agings are >= 0 or NaN, and finite
+# bounds are cached negated, so nothing else reads -inf.
+_UNSEEN = -math.inf
 
 
 class InfeasibleError(RuntimeError):
@@ -77,6 +86,13 @@ def lambdas(tau: np.ndarray, aging: np.ndarray) -> np.ndarray:
         return np.where(tau == 0.0, 0.0, tau * aging)
 
 
+def _members(keys: list[bytes], words: int) -> list[list[int]]:
+    """The cluster indices of each hosted-set key, decoded together."""
+    bits = np.unpackbits(np.frombuffer(b"".join(keys), np.uint8).reshape(len(keys), 8 * words),
+                         axis=1, bitorder="little")
+    return [row.nonzero()[0].tolist() for row in bits]
+
+
 class EvalContext:
     """Shared evaluation state: the instance, its parameters, and the tile
     aging cache.
@@ -85,8 +101,11 @@ class EvalContext:
     the cluster set the tile hosts (whose trains, with their predecessors',
     stress its circuits), never on which tile it is. So it is cached per
     hosted set, keyed by the bytes of the set's cluster bitmask, and each set
-    is computed once for the search, evaluate and the oracle. Evaluations
-    themselves are not stored: the swarm's archive is the only store.
+    goes at most once to the kernel for the search, evaluate and the oracle.
+    A set the kernel has not needed yet holds its negated upper bound
+    (hosted_set_aging_bounds) instead: exact agings are >= 0 or NaN, so the
+    sign tells the two apart. Evaluations themselves are not stored: the
+    swarm's archive is the only store.
 
     objective picks the scalar the swarm minimizes: "lambda" (tau * aging) or
     "tau" (time only). The full Evaluation is always available either way.
@@ -115,9 +134,16 @@ class EvalContext:
         here): the largest combined aging over its tiles. Each (tile, row)
         cell's hosted set is a C-bit mask in ceil(C / 64) little-endian uint64
         words, whose bytes key the tile cache, so every cluster count takes
-        this one path. The keys not yet cached are decoded together, and each
-        set goes once to the kernel and combine_aging, in first-seen cell
-        order; every cell is then read from the cache."""
+        this one path.
+
+        Every cell is read from the cache in one pass. A set not seen before
+        is given its bound, from its source union's spike count. Only cells
+        whose bound can still reach their row's worst exact aging go to the
+        kernel and combine_aging, each set at most once: first, in each row,
+        the cells of the largest bound; then every one whose bound is not
+        below the row's new worst. A cell left out has a bound below that
+        worst, so the result is the exact maximum over the row's tiles, NaN
+        included (a NaN worst skips nothing)."""
         rows = np.asarray(rows, dtype=np.int64)
         n, num_clusters = rows.shape
         words = -(-num_clusters // 64)
@@ -128,16 +154,40 @@ class EvalContext:
         np.add.at(masks, (rows, np.arange(n)[:, None], cluster // 64),
                   np.uint64(1) << (cluster % 64).astype(np.uint64))
         keys = masks.view(f"V{8 * words}").ravel().tolist()
-        cache = self._tile_cache
-        new = list(dict.fromkeys(filterfalse(cache.__contains__, keys)))
-        bits = np.unpackbits(np.frombuffer(b"".join(new), np.uint8).reshape(len(new), 8 * words),
-                             axis=1, bitorder="little")
-        for key, row in zip(new, bits):
-            mech = hosted_set_mechanism_agings(
-                row.nonzero()[0].tolist(), self.workload, self.hw, self.aging_params)
-            cache[key] = combine_aging(*mech, self.aging_params.tddb.beta)
-        agings = np.fromiter(map(cache.__getitem__, keys), np.float64, len(keys))
-        return agings.reshape(self.hw.num_tiles, n).max(axis=0)
+        cache, known = self._tile_cache, len(self._tile_cache)
+        args = (self.workload, self.hw, self.aging_params)
+        # One pass reads every cell. A set not seen before enters the cache
+        # as _UNSEEN, so the new keys are the ones after the first `known`.
+        cells = np.fromiter(map(cache.setdefault, keys, repeat(_UNSEEN)), np.float64, len(keys))
+        grid = cells.reshape(self.hw.num_tiles, n)  # a view of cells
+        # The worst exact aging of each row so far (a bounded cell counts 0).
+        worst = grid.max(axis=0, initial=0.0)
+        # Done when every bounded cell is below its row's worst. (count_nonzero,
+        # not all(): NumPy's first whole-array reduction adds 64 kB of memory.)
+        if np.count_nonzero(grid > -worst) == grid.size:
+            return worst
+        if len(cache) > known:
+            new = list(islice(reversed(cache), len(cache) - known))
+            bounds = hosted_set_aging_bounds(_members(new, words), *args)
+            # A set without a finite bound keeps _UNSEEN; 0.0 - 0.0 is +0.0.
+            cache.update(zip(new, (0.0 - bounds).tolist()))
+            cells[:] = np.fromiter(map(cache.__getitem__, keys), np.float64, len(keys))
+        for largest_only in (True, False):
+            reach = (grid < 0.0) & ~(grid > -worst)
+            if largest_only:  # the cells of their row's largest bound, its most negative
+                reach &= grid == grid.min(axis=0, where=reach, initial=1.0)
+            chosen = np.flatnonzero(reach)
+            # The chosen cells are walked by their numpy indices, so that no
+            # list as long as the batch is built.
+            todo = [key for key in dict.fromkeys(map(keys.__getitem__, chosen))
+                    if cache[key] < 0.0]
+            for key, members in zip(todo, _members(todo, words)):
+                mech = hosted_set_mechanism_agings(members, *args)
+                cache[key] = combine_aging(*mech, self.aging_params.tddb.beta)
+            cells[chosen] = np.fromiter(map(cache.__getitem__, map(keys.__getitem__, chosen)),
+                                        np.float64, len(chosen))
+            worst = grid.max(axis=0, initial=0.0)
+        return worst
 
     def evaluate(self, mapping: Mapping) -> Evaluation:
         """Evaluation of one mapping, validated against the instance first;

@@ -8,6 +8,7 @@ import hashlib
 import math
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from wearmap.aging import (
     combine_aging,
     evaluate_hardware_aging,
     hci_aging,
+    hosted_set_aging_bounds,
     hosted_set_mechanism_agings,
     mttf_from_aging,
     nbti_aging,
@@ -776,6 +778,123 @@ def test_kernel_keeps_trace_path_failures():
     late = Workload(snn=snn, trains={"a": SpikeTrain([0.5, 2.0])})
     with pytest.raises(ValueError, match=r"\[0, window\)"):
         hosted_set_mechanism_agings({0}, late, _hw(num_tiles=1), _params())
+
+
+# ---------------------------------------------------------------- aging bound
+
+
+@st.composite
+def _bound_case(draw):
+    """A small workload, one hosted member set (possibly empty, or with silent
+    trains only) and the parameters to age it by: windows from 1e-3 to 1e9 s,
+    pulse widths down to 1e-9 of the window, strain exponents on both sides
+    of 1, HCI with a v_threshold below v_idle (idle time stresses too), and
+    beta in {1, 2, 3.5}. Spike times are placed as in _hosted_set_case."""
+    window = draw(st.sampled_from([1e-3, 0.37, 1.0, 2.5, 1e3, 1e9]))
+    pulse = window * draw(st.sampled_from([1e-9, 1e-6, 1e-3, 0.05, 0.3]))
+    k = draw(st.integers(1, 4))
+    ids = [f"c{i}" for i in range(k)]
+    trains = {}
+    for cid in ids:
+        base = [u * window for u in draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                                  max_size=12))]
+        follow = draw(st.lists(st.tuples(st.sampled_from(base or [0.0]),
+                                         st.sampled_from([0.5, 1.0, 1.5])), max_size=6))
+        late = draw(st.lists(st.floats(0.0, 1.0), max_size=3))
+        times = (base + [t + f * pulse for t, f in follow]
+                 + [window - u * pulse for u in late])
+        trains[cid] = SpikeTrain(t for t in times if 0.0 <= t < window)
+    edges = [Edge(a, b, 1) for a in ids for b in ids if draw(st.booleans())]
+    n = st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.5])
+    p = AgingParams(
+        tddb=TddbParams(a=draw(st.sampled_from([1e3, 1e7, 1e12])),
+                        beta=draw(st.sampled_from([1.0, 2.0, 3.5]))),
+        nbti=NbtiParams(n=draw(n), v_threshold=draw(st.sampled_from([0.5, 1.8, 2.5]))),
+        hci=HciParams(enabled=draw(st.booleans()), m=2.5, n=draw(n),
+                      v_threshold=draw(st.sampled_from([1.0, 1.5, 2.9]))),
+    )
+    profile = DeviceProfile(kind=draw(st.sampled_from(["diode_1D1R", "transistor_1T1R"])),
+                            spike_pulse_width=pulse)
+    wl = Workload(snn=ClusteredSnn([Cluster(c, 4, 8) for c in ids], edges, window),
+                  trains=trains)
+    hw = _hw(profile=profile, num_tiles=1, tile_capacity=k,
+             temperature=draw(st.floats(250.0, 400.0)))
+    return wl, frozenset(draw(st.sets(st.integers(0, k - 1)))), hw, p
+
+
+def _source_spikes(wl, members):
+    """The length of the kernel's concatenated times: the trains of the
+    members and of their predecessors, a time on two trains counted twice.
+    The bound is 0.0 exactly when this is 0."""
+    snn = wl.snn
+    sources = set(members)
+    for ci in members:
+        sources |= snn.predecessor_sets[ci]
+    return sum(len(wl.trains[snn.clusters[ci].id]) for ci in sources)
+
+
+def _bound_and_aging(wl, members, hw, p):
+    bounds = hosted_set_aging_bounds([members], wl, hw, p)
+    assert bounds.shape == (1,) and bounds.dtype == np.float64
+    with np.errstate(all="ignore"):
+        aging = combine_aging(*hosted_set_mechanism_agings(members, wl, hw, p), p.tddb.beta)
+    return bounds[0], aging
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bound_case())
+def test_aging_bound_is_at_least_the_combined_kernel(case):
+    bound, aging = _bound_and_aging(*case)
+    assert aging <= bound
+    wl, members, hw, p = case  # each set of a batch gets its own bound
+    batch = hosted_set_aging_bounds([members, frozenset(), members], wl, hw, p)
+    assert batch.tolist() == [bound, 0.0, bound]
+    if _source_spikes(*case[:2]) == 0:  # no pulses: exactly 0.0, never -0.0
+        assert bound == aging == 0.0 and math.copysign(1.0, bound) == 1.0
+
+
+def _one_train_case(times, window, pulse, **aging):
+    wl = Workload(snn=ClusteredSnn([Cluster("a", 4, 8)], [], window),
+                  trains={"a": SpikeTrain(times)})
+    hw = _hw(profile=DeviceProfile(kind="diode_1D1R", spike_pulse_width=pulse), num_tiles=1)
+    return wl, frozenset({0}), hw, AgingParams(**aging)
+
+
+# TDDB negligible and one strain mechanism dominant, so that the bound of that
+# mechanism's terms is what each case tests.
+_QUIET_TDDB = TddbParams(a=1e300, beta=1.0)
+
+
+@pytest.mark.parametrize("times, hci", [
+    # 40 pulses apart, so 41 idle gaps: sum g^0.3 reaches 41^0.7 W^0.3, which
+    # only the (N + 1)^(1 - n) factor covers
+    ([i / 40.0 for i in range(40)], HciParams(enabled=True, v_threshold=1.0, n=0.3)),
+    # 20 pulses overlapping into one run of 10.5 widths: its d^2.5 is 34 times
+    # N w^2.5, so the n <= 1 form is no bound for n > 1
+    ([0.5 + i * 5e-4 for i in range(20)], HciParams(enabled=True, v_threshold=2.0, n=2.5)),
+    # the same, with the idle gaps stressed too and unequal (0.1 and 0.9)
+    ([0.1], HciParams(enabled=True, v_threshold=1.0, n=2.5)),
+])
+def test_aging_bound_holds_where_its_terms_are_tight(times, hci):
+    case = _one_train_case(times, 1.0, 1e-3, tddb=_QUIET_TDDB, nbti=NbtiParams(g0=0.0),
+                           hci=hci)
+    bound, aging = _bound_and_aging(*case)
+    assert 0.0 < aging <= bound
+
+
+def test_aging_bound_covers_a_pulse_that_rounds_long():
+    # A pulse lasts fl(t + w) - t, up to half an ulp of t longer than w. This
+    # w, 1e-9 of the window, sits 0.51 of an ulp of [1, 2) past a multiple of
+    # it, so every pulse there rounds 7.2e-8 long; to the 30th power that is
+    # 2.2e-6, more than the bound's 1 + 1e-6 slack: only its ulp terms cover it.
+    window, pulse, t = 1.5, math.ldexp(6755399.51, -52), 1.2
+    assert ((t + pulse) - t) / pulse - 1.0 > 7.2e-8
+    case = _one_train_case([t], window, pulse, tddb=_QUIET_TDDB,
+                           nbti=NbtiParams(g0=1.0, n=30.0))
+    bound, aging = _bound_and_aging(*case)
+    with patch.object(math, "ulp", lambda x: 0.0):
+        without_ulps, _ = _bound_and_aging(*case)
+    assert without_ulps < aging <= bound
 
 
 # ---------------------------------------------------------------- exact sum

@@ -15,6 +15,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wearmap.cli as cli
 import wearmap.oracle as oracle_module
 from wearmap.aging import mttf_from_aging
 from wearmap.cli import _write_json, main
@@ -373,9 +374,9 @@ _MESSAGES = [
        "is past the floats", id="spike_count_past_floats"),
     # tau = 3 * 1e308 s is inf, and with silent trains lambda = inf * 0 is NaN
     _P(BASE + "perf: {spike_latency: 1.0e+308}\n",
-       "perf: spike_latency 1e+308 s and hop_latency 1e-07 s, each times 3, the bound on a "
-       "tile's spike arrivals and a mapping's spike-hops on the 2x1 mesh, put the execution "
-       "time past the floats",
+       "perf: spike_latency 1e+308 s times 3, the spike total, and hop_latency 1e-07 s times "
+       "3, the bound on a mapping's spike-hops on the 2x1 mesh, put the execution time past "
+       "the floats",
        id="spike_latency_past_floats"),
     _P("n_random: 2.5\n" + BASE, "config.n_random: expected an integer", id="n_random_type"),
     _P("n_random: true\n" + BASE, "config.n_random: expected an integer", id="n_random_bool"),
@@ -523,7 +524,7 @@ def test_cli_spike_count_past_the_floats_exits_2(tmp_path, capsys):
         "the 7x1 mesh, is past the floats\n")
 
 
-def test_cli_latency_past_the_floats_exits_2(tmp_path, capsys):
+def test_cli_latency_past_the_floats_exits_2(tmp_path, capsys, monkeypatch):
     # tau overflowed to inf; with both trains empty the aging is 0, so lambda
     # was inf * 0 = NaN: map and verify ended in _write_json's ValueError
     # (exit 1, the mismatch code), and compare exited 0
@@ -532,21 +533,40 @@ def test_cli_latency_past_the_floats_exits_2(tmp_path, capsys):
     for command in ("map", "verify", "compare"):
         assert main([command, "--config", str(p), "--output", str(tmp_path / command)]) == 2
         assert capsys.readouterr().err == (
-            "error: perf: spike_latency 1e+308 s and hop_latency 1e-07 s, each times 3, the "
-            "bound on a tile's spike arrivals and a mapping's spike-hops on the 2x1 mesh, put "
-            "the execution time past the floats\n")
-    # 3 * 1e307 s fits the floats on the 2x1 mesh, but 18 * 1e307 s does not on
-    # the 7x1 mesh that sweep derives for 7 tiles, where the longest route is 6
-    p = _write(tmp_path, silent + "perf: {spike_latency: 1.0e+307}\n")
+            "error: perf: spike_latency 1e+308 s times 3, the spike total, and hop_latency "
+            "1e-07 s times 3, the bound on a mapping's spike-hops on the 2x1 mesh, put the "
+            "execution time past the floats\n")
+    # 3 * 1 * 1e307 s of spike-hops fit the floats on the 2x1 mesh, but 3 * 6 *
+    # 1e307 s do not on the 7x1 mesh that sweep derives for 7 tiles, where the
+    # longest route is 6
+    p = _write(tmp_path, silent + "perf: {hop_latency: 1.0e+307}\n")
     assert main(["sweep", "--config", str(p), "--output", str(tmp_path / "sweep2"),
                  "--axis", "num_tiles", "--values", "2"]) == 0
     capsys.readouterr()
+    error = ("error: --values: perf: spike_latency 1e-06 s times 3, the spike total, and "
+             "hop_latency 1e+307 s times 18, the bound on a mapping's spike-hops on the 7x1 "
+             "mesh, put the execution time past the floats\n")
     assert main(["sweep", "--config", str(p), "--output", str(tmp_path / "sweep7"),
                  "--axis", "num_tiles", "--values", "7"]) == 2
-    assert capsys.readouterr().err == (
-        "error: --values: perf: spike_latency 1e+307 s and hop_latency 1e-07 s, each times 18, "
-        "the bound on a tile's spike arrivals and a mapping's spike-hops on the 7x1 mesh, put "
-        "the execution time past the floats\n")
+    assert capsys.readouterr().err == error
+    # every variant is checked before the first search: 7 is refused before 2 runs
+    searches, search = [], cli._search
+    monkeypatch.setattr(cli, "_search", lambda *a: searches.append(a) or search(*a))
+    out = tmp_path / "sweep27"
+    assert main(["sweep", "--config", str(p), "--output", str(out),
+                 "--axis", "num_tiles", "--values", "2,7"]) == 2
+    assert capsys.readouterr().err == error
+    assert searches == [] and not (out / "sweep.csv").exists()
+
+
+def test_cli_latency_past_the_spike_hop_bound_but_within_the_spike_total_runs(tmp_path):
+    # A tile receives at most the spike total, 3, not the spike-hop bound, 18,
+    # on the 7x1 mesh: 3 * 4e307 s is finite, and every mapping's tau is that.
+    p = _write(tmp_path, BASE.replace("num_tiles: 2", "num_tiles: 7")
+               + "perf: {spike_latency: 4.0e+307}\n")
+    assert main(["map", "--config", str(p), "--output", str(tmp_path / "map")]) == 0
+    summary = json.loads((tmp_path / "map" / "summary.json").read_text(encoding="utf-8"))
+    assert summary["tau"] == 3 * 4.0e307 == 1.2e308
 
 
 @pytest.mark.parametrize("count", [2 ** 63, 2 ** 64 - 1, 10 ** 308])

@@ -566,14 +566,23 @@ def test_many_clusters_on_one_tile():
     with patch.object(swarm_module, "hosted_set_mechanism_agings", recording):
         got = ctx.worst_tile_agings(rows).tolist()
     rest, everything = frozenset(range(1, 70)), frozenset(range(70))
-    # first-seen cell order, tile by tile; the empty tile 1 of row 1 is no call
-    assert looked_up == [rest, everything, frozenset({0})]
+    # each set at most once; the empty tile 1 of row 1 is no call
+    assert len(looked_up) == len(set(looked_up))
+    assert set(looked_up) <= {rest, everything, frozenset({0})}
 
     def aging(members):
         mech = hosted_set_mechanism_agings(members, workload, ctx.hw, ctx.aging_params)
         return combine_aging(*mech, ctx.aging_params.tddb.beta)
 
     assert got == [max(aging({0}), aging(rest)), aging(everything)]
+    # with every bound inf nothing is skipped: {c0} itself goes to the kernel
+    looked_up.clear()
+    ctx = EvalContext(workload, _hw(2, tile_capacity=70), AgingParams(), PerfParams())
+    with patch.object(swarm_module, "hosted_set_mechanism_agings", recording), \
+            patch.object(swarm_module, "hosted_set_aging_bounds",
+                         lambda spikes, *args: np.full(len(spikes), math.inf)):
+        assert ctx.worst_tile_agings(rows).tolist() == got
+    assert sorted(looked_up, key=len) == [frozenset({0}), rest, everything]
 
 
 def test_tau_past_int64_stays_exact():
@@ -602,16 +611,18 @@ def test_tile_aging_is_combined_kernel_once_per_set(monkeypatch):
 
     rows = np.array([[0, 2, 2, 2], [1, 1, 0, 0], [0, 2, 2, 2]])
     got = ctx.evaluate_rows(rows).aging.tolist()
-    # once per distinct non-empty set, in first-seen (tile, row) cell order
-    assert calls == [frozenset({0}), frozenset({2, 3}), frozenset({0, 1}),
-                     frozenset({1, 2, 3})]
+    # at most once per distinct non-empty set
+    assert len(calls) == len(set(calls))
+    assert set(calls) <= {frozenset({0}), frozenset({2, 3}), frozenset({0, 1}),
+                          frozenset({1, 2, 3})}
     assert got == [max(aging({0}), aging({1, 2, 3})), max(aging({2, 3}), aging({0, 1})),
                    max(aging({0}), aging({1, 2, 3}))]
+    first = list(calls)
     assert ctx.evaluate_rows(rows).aging.tolist() == got
     assert ctx.evaluate(Mapping([1, 1, 0, 0])).aging == got[1]
-    assert len(calls) == 4
+    assert calls == first  # a batch already evaluated reaches the kernel no more
     # the oracle reads the same cache: each of the 14 non-empty sets of at most
-    # 3 clusters is computed once, and the empty set never
+    # 3 clusters is computed at most once, and the empty set never
     brute_force_pareto(ctx.workload.snn, ctx.hw, ctx)
-    assert len(calls) == len(set(calls)) == 14
-    assert frozenset() not in calls and max(map(len, calls)) == 3
+    assert len(calls) == len(set(calls)) <= 14
+    assert frozenset() not in calls and max(map(len, calls)) <= 3

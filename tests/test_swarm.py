@@ -200,6 +200,11 @@ def _fake_kernel(members, *args):
             0.0, 0.0)
 
 
+def _no_bounds(spikes, *args):
+    """hosted_set_aging_bounds for a kernel without one: inf, never skipped."""
+    return np.full(len(spikes), math.inf)
+
+
 @st.composite
 def _assignment_batches(draw):
     num_clusters = draw(st.one_of(st.sampled_from([1, 2, 63, 64, 65, 128, 129, 130]),
@@ -236,15 +241,112 @@ def test_worst_tile_agings_equals_dict_of_sets_reference(batch):
     wl = generate_poisson_workload(
         WorkloadShape(num_clusters=num_clusters, kind="chain"), 5.0, 1.0, 0)
     hw = _hw(num_tiles=num_tiles, tile_capacity=num_clusters)
-    for kernel in (hosted_set_mechanism_agings, _fake_kernel):
+    # The fake kernel has no bound, so it runs with every bound patched to inf:
+    # then no cell is skipped, and the lookup alone is tested.
+    for kernel, bounds in ((hosted_set_mechanism_agings, swarm_module.hosted_set_aging_bounds),
+                           (_fake_kernel, _no_bounds)):
         ctx = EvalContext(wl, hw, AgingParams(), PerfParams())
-        with patch.object(swarm_module, "hosted_set_mechanism_agings", kernel):
+        calls = []
+
+        def counting(members, *args):
+            calls.append(frozenset(members))
+            return kernel(members, *args)
+
+        with patch.object(swarm_module, "hosted_set_mechanism_agings", counting), \
+                patch.object(swarm_module, "hosted_set_aging_bounds", bounds):
             got = ctx.worst_tile_agings(rows)
             assert got.shape == (rows.shape[0],) and got.dtype == np.float64
             assert got.tolist() == [_reference_worst_tile_aging(ctx, r, kernel)
                                     for r in rows.tolist()]
             # aging depends on the partition only, not on which tile hosts which set
             assert ctx.worst_tile_agings(perm[rows]).tolist() == got.tolist()
+        # each set at most once to the kernel, and never the empty set
+        assert len(calls) == len(set(calls)) and frozenset() not in calls
+
+
+def _counting(calls, kernel=hosted_set_mechanism_agings):
+    """kernel, recording each member set it is called on."""
+    def counting(members, *args):
+        calls.append(frozenset(members))
+        return kernel(members, *args)
+    return counting
+
+
+def _hosted_sets(rows):
+    """The distinct non-empty hosted sets of an (n, C) assignment array."""
+    sets = set()
+    for row in rows.tolist():
+        hosted = {}
+        for ci, tile in enumerate(row):
+            hosted.setdefault(tile, set()).add(ci)
+        sets |= {frozenset(m) for m in hosted.values()}
+    return sets
+
+
+def test_worst_tile_agings_skips_sets_that_cannot_be_the_worst():
+    # 48 clusters on a 4x4 mesh of capacity 4: nearly every hosted set of a
+    # batch is new. Each later batch swaps two clusters' tiles in every row of
+    # the one before, so it meets sets that an earlier batch only bounded.
+    rng = np.random.default_rng(11)
+    rates = np.exp(rng.uniform(np.log(5.0), np.log(220.0), 48))
+    wl = generate_poisson_workload(
+        WorkloadShape(48, 16, 48, kind="random", edge_prob=3 / 48), rates, 1.0, 0)
+    hw = _hw(num_tiles=16, tile_capacity=4, mesh=(4, 4))
+    batches = [repair_rows(rng.integers(0, 2, (24, 48, 16)), rng.random((24, 48, 16)), hw)]
+    for _ in range(3):
+        rows = batches[-1].copy()
+        for row in rows:
+            i, j = rng.choice(48, 2, replace=False)
+            row[[i, j]] = row[[j, i]]
+        batches.append(rows)
+    calls, every = [], []
+    ctx = EvalContext(wl, hw, AgingParams(), PerfParams())
+    with patch.object(swarm_module, "hosted_set_mechanism_agings", _counting(calls)):
+        got = [ctx.worst_tile_agings(rows).tolist() for rows in batches]
+    # the exhaustive reference: with every bound inf, no set is skipped
+    ref = EvalContext(wl, hw, AgingParams(), PerfParams())
+    with patch.object(swarm_module, "hosted_set_mechanism_agings", _counting(every)), \
+            patch.object(swarm_module, "hosted_set_aging_bounds", _no_bounds):
+        assert [ref.worst_tile_agings(rows).tolist() for rows in batches] == got
+    sets = _hosted_sets(np.concatenate(batches))
+    assert len(every) == len(set(every)) and set(every) == sets
+    assert len(calls) == len(set(calls)) and set(calls) < sets
+    assert len(calls) < len(sets) / 2
+
+
+def test_worst_tile_agings_nan_reaches_its_row_and_skips_nothing_there():
+    # combine_aging (patched) gives NaN for {c0}: the row's worst is NaN, as
+    # the max over its tiles is. With every bound inf, {c0} on tile 0 is the
+    # row's first pick; the NaN it yields skips none of the row's other sets.
+    ctx = _ctx(num_clusters=4, num_tiles=3, tile_capacity=2)
+    calls = []
+
+    def kernel(members, *args):
+        return (math.nan, 0.0, 0.0) if set(members) == {0} else \
+            hosted_set_mechanism_agings(members, *args)
+
+    with patch.object(swarm_module, "hosted_set_mechanism_agings", _counting(calls, kernel)), \
+            patch.object(swarm_module, "combine_aging",
+                         lambda *m: math.nan if math.isnan(m[0]) else combine_aging(*m)), \
+            patch.object(swarm_module, "hosted_set_aging_bounds", _no_bounds):
+        got = ctx.worst_tile_agings(np.array([[0, 1, 1, 2], [1, 1, 2, 2]]))
+    assert math.isnan(got[0]) and not math.isnan(got[1])
+    assert sorted(calls, key=sorted) == sorted(_hosted_sets(np.array([[0, 1, 1, 2],
+                                                                      [1, 1, 2, 2]])),
+                                               key=sorted)
+
+
+def test_a_spike_past_the_window_is_refused_on_a_set_the_kernel_skips():
+    # The bounds assume every spike lies within the window, which the kernel
+    # checks. Cluster a spikes twice, once past the window, and b 400 times:
+    # on separate tiles a's set is below b's and never reaches the kernel, so
+    # its bound refuses it instead.
+    snn = ClusteredSnn([Cluster("a", 4, 8), Cluster("b", 4, 8)], [], 1.0)
+    trains = {"a": SpikeTrain([0.5, 2.0]), "b": SpikeTrain(np.linspace(0.01, 0.99, 400))}
+    ctx = EvalContext(Workload(snn=snn, trains=trains), _hw(num_tiles=2), AgingParams(),
+                      PerfParams())
+    with pytest.raises(ValueError, match=r"\[0, window\)"):
+        ctx.evaluate(Mapping([0, 1]))
 
 
 def test_fitness_invalid_mapping_raises():
