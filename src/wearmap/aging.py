@@ -584,11 +584,11 @@ def calibrate_baseline(
     """
     if target_mttf <= 0.0 or not math.isfinite(target_mttf):
         raise ValueError("target_mttf must be positive and finite")
-    report = evaluate_hardware_aging(workload, baseline_mapping, hw, p)
     if workload.total_spikes() == 0:
         raise CalibrationError(
             "workload emits no spikes; baseline stress is zero and MTTF is unbounded"
         )
+    report = evaluate_hardware_aging(workload, baseline_mapping, hw, p)
 
     beta = p.tddb.beta
     window = workload.snn.workload_window

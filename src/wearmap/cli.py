@@ -5,6 +5,10 @@ config file into the output directory and reports wall time on stdout and in
 wall_time.txt; data files (JSON/CSV) carry no timestamps or timings, so a
 rerun with the same config and seed is byte identical.
 
+No search starts before the run is known to go ahead. The instance
+(config.check_instance) and --seed are checked at load, before the output
+directory is made; sweep checks every variant and verify applies its guard.
+
 Exit codes: 0 success, 1 verify mismatch, 2 config error, 3 infeasible
 instance (including calibration with zero stress), 4 enumeration guard
 exceeded.
@@ -35,9 +39,7 @@ from .config import (
     YEAR_SECONDS,
     ConfigError,
     RunConfig,
-    check_latencies,
-    check_spike_counts,
-    check_wear_rates,
+    check_instance,
     load_run_config,
 )
 from .model import (
@@ -45,9 +47,7 @@ from .model import (
     HardwareConfig,
     Mapping,
     MappingConstraintError,
-    Workload,
     first_fit_mapping,
-    validate_snn,
 )
 from .oracle import (
     GuardExceededError,
@@ -60,7 +60,6 @@ from .swarm import (
     EvalContext,
     Evaluation,
     InfeasibleError,
-    OptimizeResult,
     _random_corner,
     lambdas,
     optimize,
@@ -125,12 +124,6 @@ def _record(mapping: Mapping, ev: Evaluation) -> dict:
             "lambda": ev.lam}
 
 
-def _require_feasible(workload: Workload, hw: HardwareConfig) -> None:
-    problems = validate_snn(workload.snn, hw)
-    if problems:
-        raise InfeasibleError("; ".join(str(p) for p in problems))
-
-
 def _ratio(x: float, base: float) -> float:
     """x relative to base, defined for the 0 and inf corners."""
     if x == base:
@@ -161,18 +154,11 @@ def _write_plot_data(args, out_dir: Path, series) -> None:
                     for metric, value in zip(metrics, values)])
 
 
-def _run_pso(cfg: RunConfig, seed: int | None, hw: HardwareConfig,
-             objective: str = "lambda") -> tuple[EvalContext, OptimizeResult]:
-    _require_feasible(cfg.workload, hw)
-    ctx = EvalContext(cfg.workload, hw, cfg.aging, cfg.perf, objective=objective)
-    res = optimize(cfg.workload.snn, hw, cfg.pso_with_seed(seed), ctx)
-    return ctx, res
-
-
-def _search(cfg: RunConfig, seed: int | None, hw: HardwareConfig):
+def _search(cfg: RunConfig, hw: HardwareConfig):
     """The joint swarm run, the mapping select_final picks from its front,
     and that mapping's evaluation, read off its front point."""
-    ctx, res = _run_pso(cfg, seed, hw)
+    ctx = EvalContext(cfg.workload, hw, cfg.aging, cfg.perf)
+    res = optimize(cfg.workload.snn, hw, cfg.pso, ctx)
     selected = select_final(res.front, cfg.epsilon)
     point = next(p for p in res.front.points if p.mapping == selected)
     lam = lambdas(point.tau, point.aging).item()
@@ -181,7 +167,6 @@ def _search(cfg: RunConfig, seed: int | None, hw: HardwareConfig):
 
 def cmd_calibrate(args, cfg: RunConfig, out_dir: Path) -> int:
     workload, hw = cfg.workload, cfg.hardware
-    _require_feasible(workload, hw)
     baseline = first_fit_mapping(workload.snn, hw)
     calibrated = calibrate_baseline(workload, baseline, hw, cfg.aging,
                                     cfg.target_mttf_seconds)
@@ -201,7 +186,7 @@ def cmd_calibrate(args, cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_map(args, cfg: RunConfig, out_dir: Path) -> int:
-    _, res, selected, ev = _search(cfg, args.seed, cfg.hardware)
+    _, res, selected, ev = _search(cfg, cfg.hardware)
     report = evaluate_hardware_aging(cfg.workload, selected, cfg.hardware, cfg.aging)
 
     _write_json(out_dir / "mapping.json", {
@@ -266,15 +251,15 @@ def _parse_axis_values(axis: str, text: str) -> list:
 
 
 def _hardware_variant(cfg: RunConfig, axis: str, value) -> HardwareConfig:
-    """cfg's hardware with axis set to value, its wear rates, and the
-    workload's spike counts and latencies on its mesh checked."""
+    """cfg's hardware with axis set to value, checked with cfg's workload by
+    check_instance. Its errors name --values, and an infeasible one the value."""
     try:
         hw = _AXES[axis][1](cfg.hardware, value)
-        check_wear_rates(cfg.aging, hw)
-        check_spike_counts(cfg.workload.snn, hw)
-        check_latencies(cfg.workload.snn, hw, cfg.perf)
+        check_instance(cfg.workload, hw, cfg.aging, cfg.perf)
     except ValueError as e:  # ConfigError included
         raise ConfigError(f"--values: {e}") from e
+    except InfeasibleError as e:
+        raise InfeasibleError(f"--values: {axis}={value}: {e}") from e
     return hw
 
 
@@ -285,7 +270,7 @@ def cmd_sweep(args, cfg: RunConfig, out_dir: Path) -> int:
     variants = [_hardware_variant(cfg, args.axis, value) for value in values]
     results = []
     for value, hw in zip(values, variants):
-        *_, ev = _search(cfg, args.seed, hw)
+        *_, ev = _search(cfg, hw)
         results.append((args.axis, value, ev.tau, ev.aging))
     header = ["axis", "value", "tau", "aging", "mttf", "tau_norm", "aging_norm", "mttf_norm"]
     rows = _relative_rows(cfg, results)
@@ -299,13 +284,14 @@ def cmd_sweep(args, cfg: RunConfig, out_dir: Path) -> int:
 
 def cmd_compare(args, cfg: RunConfig, out_dir: Path) -> int:
     hw = cfg.hardware
-    ctx_joint, _, sel_joint, ev_joint = _search(cfg, args.seed, hw)
-    _, res_perf = _run_pso(cfg, args.seed, hw, objective="tau")
+    ctx_joint, _, sel_joint, ev_joint = _search(cfg, hw)
+    res_perf = optimize(cfg.workload.snn, hw, cfg.pso,
+                        EvalContext(cfg.workload, hw, cfg.aging, cfg.perf, objective="tau"))
     ev_perf = res_perf.evaluation
 
     # Random baseline: repaired uniform-random corners, one shared stream.
     # Medians are taken per metric, so the row is not one single mapping.
-    rng = np.random.default_rng(cfg.pso_with_seed(args.seed).seed)
+    rng = np.random.default_rng(cfg.pso.seed)
     shape = (len(cfg.workload.snn.clusters), hw.num_tiles)
     assignments = []
     for _ in range(cfg.n_random):
@@ -333,8 +319,10 @@ def cmd_compare(args, cfg: RunConfig, out_dir: Path) -> int:
 
 def cmd_verify(args, cfg: RunConfig, out_dir: Path) -> int:
     workload, hw = cfg.workload, cfg.hardware
-    ctx, res = _run_pso(cfg, args.seed, hw)
+    ctx = EvalContext(workload, hw, cfg.aging, cfg.perf)
+    # The table first: an instance over the guard is refused before any search.
     table = _objective_table(workload.snn, hw, ctx)
+    res = optimize(workload.snn, hw, cfg.pso, ctx)
     best = brute_force_optimum(workload.snn, hw, ctx, table=table)
     oracle_front = brute_force_pareto(workload.snn, hw, ctx, table=table)
 
@@ -405,6 +393,7 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         cfg = load_run_config(args.config)
+        cfg.pso = cfg.pso_with_seed(args.seed)
         out_dir = Path(args.output or cfg.output or "wearmap_out")
         try:
             out_dir.mkdir(parents=True, exist_ok=True)

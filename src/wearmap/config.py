@@ -10,6 +10,10 @@ mapping node, the root included, by _fields. An error names its field by that
 path: config.<key> for a field of the root (config.epsilon, config.hardware),
 and the path from the section for a field inside one (hardware.num_tiles,
 workload.inline.trains.b[1]).
+
+Whether the parsed instance can run has one owner, check_instance: it
+refuses with ConfigError or InfeasibleError before any search, on the loaded
+config and on each of the CLI sweep's hardware variants.
 """
 
 from __future__ import annotations
@@ -31,9 +35,10 @@ from .model import (
     Workload,
     WorkloadShape,
     generate_poisson_workload,
+    validate_snn,
 )
 from .perf import PerfParams, spike_hop_bound
-from .swarm import PsoConfig
+from .swarm import InfeasibleError, PsoConfig, require_capacity
 
 YEAR_SECONDS = 365 * 24 * 3600.0
 
@@ -246,7 +251,7 @@ def _parse_workload(node, path: str) -> Workload:
     return _get(d, source, path, sources[source])
 
 
-def check_wear_rates(aging: AgingParams, hw: HardwareConfig) -> None:
+def _check_wear_rates(aging: AgingParams, hw: HardwareConfig) -> None:
     """Refuse wear constants whose rates leave the positive finite floats at
     hw's temperature and voltages, naming the mechanism. Each constant can be
     finite on its own: an alpha of 0 made TDDB aging inf and the combined
@@ -269,33 +274,24 @@ def check_wear_rates(aging: AgingParams, hw: HardwareConfig) -> None:
             raise ConfigError(f"{label} is {value!r}; it must be finite and > 0")
 
 
-def check_spike_counts(snn: ClusteredSnn, hw: HardwareConfig) -> None:
-    """Refuse edge spike counts whose spike_hop_bound on hw's mesh is past the
-    floats. The execution time sums loads and spike-hops exactly, but its
-    float conversion of them raised OverflowError in the middle of a run."""
+def _check_execution_time(snn: ClusteredSnn, hw: HardwareConfig, perf: PerfParams) -> None:
+    """Refuse edge spike counts, then latencies, that can put the execution
+    time past the floats. It sums loads and spike-hops exactly, but its float
+    conversion of a spike_hop_bound past the floats raised OverflowError in the
+    middle of a run. No tile's spike arrivals exceed the spike total, and no
+    mapping's spike-hops exceed spike_hop_bound, so tau is at most total *
+    spike_latency + spike_hop_bound * hop_latency; an inf tau made every
+    mapping tie, and lambda = inf * 0 NaN."""
+    width, height = hw.mesh
+    hops = spike_hop_bound(snn, hw)
     try:
-        float(spike_hop_bound(snn, hw))
+        float(hops)  # total <= hops, so neither product below can raise
     except OverflowError:
-        width, height = hw.mesh
         raise ConfigError(
             f"workload edges: the spike_count total, times the longest route on the "
             f"{width}x{height} mesh, is past the floats") from None
-
-
-def check_latencies(snn: ClusteredSnn, hw: HardwareConfig, perf: PerfParams) -> None:
-    """Refuse latencies that can make the execution time past the floats. No
-    tile's spike arrivals exceed the spike total, and no mapping's spike-hops
-    exceed spike_hop_bound, so tau is at most total * spike_latency +
-    spike_hop_bound * hop_latency; an inf tau made every mapping tie, and
-    lambda = inf * 0 NaN."""
     total = sum(c for _, _, c in snn.resolved_edges)
-    hops = spike_hop_bound(snn, hw)
-    try:
-        tau = total * perf.spike_latency + hops * perf.hop_latency
-    except OverflowError:
-        tau = math.inf
-    if not math.isfinite(tau):
-        width, height = hw.mesh
+    if not math.isfinite(total * perf.spike_latency + hops * perf.hop_latency):
         raise ConfigError(
             f"perf: spike_latency {perf.spike_latency!r} s times {total}, the spike total, "
             f"and hop_latency {perf.hop_latency!r} s times {hops}, the bound on a mapping's "
@@ -314,6 +310,22 @@ def _check_pulse_width(hw: HardwareConfig, workload: Workload) -> None:
                 f"hardware.device.spike_pulse_width: {width!r} s vanishes when added to "
                 f"spike time {float(lost[0])!r} s of cluster {cid!r}; it must lengthen "
                 "every spike time")
+
+
+def check_instance(workload: Workload, hw: HardwareConfig, aging: AgingParams,
+                   perf: PerfParams) -> None:
+    """Refuse an instance that cannot run, before any search. Values that break
+    a float in the middle of a run raise ConfigError, in this order: the wear
+    rates, the spike counts, the latencies, the pulse width. Then a workload
+    that fits no mapping raises InfeasibleError: one that validate_snn
+    refuses, then one with more clusters than the tiles hold."""
+    _check_wear_rates(aging, hw)
+    _check_execution_time(workload.snn, hw, perf)
+    _check_pulse_width(hw, workload)
+    problems = validate_snn(workload.snn, hw)
+    if problems:
+        raise InfeasibleError("; ".join(map(str, problems)))
+    require_capacity(len(workload.snn.clusters), hw)
 
 
 @dataclass
@@ -370,10 +382,7 @@ def parse_run_config(text: str) -> RunConfig:
         raise ConfigError(f"config is not valid YAML: {e}") from e
     d = _fields(root, "config", _ROOT_KINDS, required=("hardware", "workload"))
     aging, perf = d.get("aging", AgingParams()), d.get("perf", PerfParams())
-    check_wear_rates(aging, d["hardware"])
-    check_spike_counts(d["workload"].snn, d["hardware"])
-    check_latencies(d["workload"].snn, d["hardware"], perf)
-    _check_pulse_width(d["hardware"], d["workload"])
+    check_instance(d["workload"], d["hardware"], aging, perf)
 
     return RunConfig(
         raw_text=text,

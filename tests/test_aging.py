@@ -1111,6 +1111,16 @@ def test_calibrate_zero_stress_errors():
         calibrate_baseline(wl, Mapping([0]), hw, _params(), 2.0 * YEAR)
 
 
+def test_calibrate_zero_spikes_refused_before_the_report():
+    # The spike count alone decides this case, so no tile is evaluated first.
+    snn = ClusteredSnn([Cluster("c0", 4, 8)], [], 1.0)
+    wl = Workload(snn=snn, trains={"c0": SpikeTrain([])})
+    report = AssertionError("evaluate_hardware_aging ran")
+    with patch.object(aging_module, "evaluate_hardware_aging", side_effect=report), \
+            pytest.raises(CalibrationError, match="no spikes"):
+        calibrate_baseline(wl, Mapping([0]), _hw(num_tiles=1), _params(), 2.0 * YEAR)
+
+
 def test_calibrate_spikes_without_aging_errors():
     # Spikes, but no aging: alpha overflows to inf below t_ref and NBTI is off,
     # so every tile's triple is (0, 0, 0) and no scaling reaches the target.

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wearmap.cli as cli
+import wearmap.config as config_module
 import wearmap.oracle as oracle_module
 from wearmap.aging import mttf_from_aging
 from wearmap.cli import _write_json, main
@@ -25,7 +26,7 @@ from wearmap.config import (
     load_run_config,
     parse_run_config,
 )
-from wearmap.swarm import EvalContext, optimize
+from wearmap.swarm import EvalContext, InfeasibleError, optimize
 
 
 def _times(n):
@@ -305,6 +306,12 @@ def _nodes(node):
         yield from _nodes(child)
 
 
+# The messages of check_instance's two infeasibility checks: validate_snn's
+# violations, then the capacity check.
+_INFEASIBLE = (r"(duplicate_cluster|crossbar_overflow|fanin_overflow|dangling_edge): .*"
+               r"|\d+ clusters exceed total capacity \d+")
+
+
 def test_full_schema_config_parses():
     for source in _SOURCES:
         parse_run_config(yaml.safe_dump({**yaml.safe_load(_FULL), "workload": source}))
@@ -314,7 +321,9 @@ def test_full_schema_config_parses():
 @given(st.data(), st.sampled_from(_SOURCES))
 def test_parse_run_config_raises_only_config_error(data, source):
     # Mistyped, missing and unknown fields anywhere in the tree: each either
-    # parses or is refused with a ConfigError, never another exception.
+    # parses or is refused with a ConfigError, never another exception. The
+    # one other refusal is an instance that fits no mapping (check_instance's
+    # InfeasibleError, exit 3), such as a crossbar_dim below a cluster's size.
     root = {**yaml.safe_load(_FULL), "workload": copy.deepcopy(source)}
     for _ in range(data.draw(st.integers(1, 3))):
         node = data.draw(st.sampled_from(list(_nodes(root))))
@@ -328,6 +337,8 @@ def test_parse_run_config_raises_only_config_error(data, source):
         parse_run_config(yaml.safe_dump(root))
     except ConfigError:
         pass
+    except InfeasibleError as e:
+        assert re.fullmatch(_INFEASIBLE, str(e)), str(e)
 
 
 def test_invalid_yaml_is_config_error():
@@ -636,6 +647,76 @@ workload:
     assert "error:" in capsys.readouterr().err
 
 
+def _count_searches(monkeypatch) -> list:
+    """Patch cli.optimize to record each call; the list it returns grows by one
+    per search."""
+    calls, search = [], cli.optimize
+    monkeypatch.setattr(cli, "optimize", lambda *a, **k: calls.append(a) or search(*a, **k))
+    return calls
+
+
+def _add_cluster_c(text):
+    return text.replace(
+        "      - {id: b, neuron_count: 4, synapse_count: 8}",
+        "      - {id: b, neuron_count: 4, synapse_count: 8}\n"
+        "      - {id: c, neuron_count: 4, synapse_count: 8}",
+    ).replace("      b: [0.2, 0.5]", "      b: [0.2, 0.5]\n      c: [0.6]")
+
+
+# check_instance's six refusals, in its order: each as an edit of a config,
+# its exit code and the start of its message.
+_REFUSALS = {
+    "wear_rates": (lambda t: t.replace("temperature: 300.0", "temperature: 0.001"), 2,
+                   "aging.tddb: alpha(v_active=3.0 V, T=0.001 K) is inf"),
+    "spike_counts": (lambda t: t.replace("spike_count: 3", f"spike_count: {10 ** 309}"), 2,
+                     "workload edges: the spike_count total"),
+    "latencies": (lambda t: t + "perf: {spike_latency: 1.0e+308}\n", 2,
+                  "perf: spike_latency 1e+308 s times 3"),
+    "pulse_width": (lambda t: t.replace("    kind: diode_1D1R",
+                                        "    kind: diode_1D1R\n    spike_pulse_width: 1.0e-30"),
+                    2, "hardware.device.spike_pulse_width: 1e-30 s vanishes"),
+    "validate_snn": (lambda t: t.replace("crossbar_dim: 16", "crossbar_dim: 2"), 3,
+                     "crossbar_overflow: cluster 'a' has 4 neurons > crossbar_dim 2"),
+    "capacity": (_add_cluster_c, 3, "3 clusters exceed total capacity 2"),
+}
+# Every config error comes before every infeasibility: each exit-2 edit on top
+# of each exit-3 edit still exits 2, with the exit-2 message.
+_PRECEDENCE = {f"{bad}+{infeasible}": (lambda t, b=bad, i=infeasible:
+                                        _REFUSALS[b][0](_REFUSALS[i][0](t)),
+                                        *_REFUSALS[bad][1:])
+               for bad in _REFUSALS if _REFUSALS[bad][1] == 2
+               for infeasible in _REFUSALS if _REFUSALS[infeasible][1] == 3}
+_INSTANCE_CASES = {**_REFUSALS, **_PRECEDENCE}
+
+
+@pytest.mark.parametrize("case", list(_INSTANCE_CASES))
+def test_check_instance_refuses_at_load(tmp_path, capsys, monkeypatch, case):
+    edit, code, prefix = _INSTANCE_CASES[case]
+    searches = _count_searches(monkeypatch)
+    p = _write(tmp_path, edit(BASE))
+    out = tmp_path / "out"
+    assert main(["map", "--config", str(p), "--output", str(out)]) == code
+    assert capsys.readouterr().err.startswith(f"error: {prefix}")
+    assert searches == []
+    assert not out.exists()  # refused before the output directory is made
+
+
+@pytest.mark.parametrize("case", list(_INSTANCE_CASES))
+def test_check_instance_refuses_a_sweep_variant(tmp_path, capsys, monkeypatch, case):
+    # The same instance, loaded past the check, is refused again as a variant.
+    edit, code, prefix = _INSTANCE_CASES[case]
+    with patch.object(config_module, "check_instance"):
+        cfg = parse_run_config(edit(BASE))
+    monkeypatch.setattr(cli, "load_run_config", lambda path: cfg)
+    searches = _count_searches(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", "run.yaml", "--output", str(out),
+                 "--axis", "device_kind", "--values", "diode_1D1R"]) == code
+    entry = "--values: " + ("device_kind=diode_1D1R: " if code == 3 else "")
+    assert capsys.readouterr().err.startswith(f"error: {entry}{prefix}")
+    assert searches == [] and not (out / "sweep.csv").exists()
+
+
 def test_cli_inline_spike_past_window_exits_2(tmp_path, capsys):
     # a config error, not a traceback whose exit code 1 reads as a verify mismatch
     p = _write(tmp_path, BASE.replace("a: [0.1, 0.4, 0.7]", "a: [0.1, 1.5]"))
@@ -717,7 +798,7 @@ def test_cli_yaml_exponent_string_exits_2(tmp_path, capsys):
 
 def test_cli_negative_seed_flag_exits_2(tmp_path, capsys):
     p = _write(tmp_path, BASE)
-    for extra in (["map"], ["verify"], ["compare"],
+    for extra in (["map"], ["verify"], ["compare"], ["calibrate"],
                   ["sweep", "--axis", "temperature", "--values", "300"]):
         code = main(extra + ["--config", str(p), "--output", str(tmp_path / extra[0]),
                              "--seed", "-3"])
@@ -1091,6 +1172,26 @@ def test_cli_medium_outputs_match_golden(tmp_path, capsys, command):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in out.iterdir() if p.suffix in (".json", ".csv")}
     assert digests == _GOLDEN_MEDIUM[command]
+
+
+def test_cli_sweep_refuses_an_infeasible_value_before_any_search(tmp_path, capsys,
+                                                                  monkeypatch):
+    # 12 clusters fit 9 tiles of capacity 3 but not 2: the 9-tile search is not run.
+    searches = _count_searches(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(_BASELINE.with_name("medium.yaml")),
+                 "--output", str(out), "--axis", "num_tiles", "--values", "9,2"]) == 3
+    assert capsys.readouterr().err == (
+        "error: --values: num_tiles=2: 12 clusters exceed total capacity 6\n")
+    assert searches == [] and not (out / "sweep.csv").exists()
+
+
+def test_cli_verify_refuses_over_the_guard_before_any_search(tmp_path, capsys, monkeypatch):
+    searches = _count_searches(monkeypatch)
+    assert main(["verify", "--config", str(_BASELINE.with_name("medium.yaml")),
+                 "--output", str(tmp_path / "out")]) == 4
+    assert "over the enumeration guard" in capsys.readouterr().err
+    assert searches == []
 
 
 def test_cli_verify_enumerates_the_feasible_set_once(tmp_path, capsys):
