@@ -290,7 +290,7 @@ def _check_execution_time(snn: ClusteredSnn, hw: HardwareConfig, perf: PerfParam
         raise ConfigError(
             f"workload edges: the spike_count total, times the longest route on the "
             f"{width}x{height} mesh, is past the floats") from None
-    total = sum(c for _, _, c in snn.resolved_edges)
+    total = snn.spike_total
     if not math.isfinite(total * perf.spike_latency + hops * perf.hop_latency):
         raise ConfigError(
             f"perf: spike_latency {perf.spike_latency!r} s times {total}, the spike total, "

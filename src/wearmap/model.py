@@ -90,6 +90,27 @@ class ClusteredSnn:
                      for e in self.edges if e.src in index_of and e.dst in index_of)
 
     @cached_property
+    def spike_total(self) -> int:
+        """The spike counts of the resolved edges, summed."""
+        return sum(c for _, _, c in self.resolved_edges)
+
+    @cached_property
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """resolved_edges as read-only arrays, built once: source and destination
+        cluster indices, spike counts, and the spikes arriving at each cluster.
+        The counts are int64 while spike_total fits it, and Python ints past it."""
+        dtype = np.int64 if self.spike_total < 2 ** 63 else object
+        edges = self.resolved_edges
+        src = np.array([si for si, _, _ in edges], dtype=np.int64)
+        dst = np.array([di for _, di, _ in edges], dtype=np.int64)
+        counts = np.array([c for _, _, c in edges], dtype=dtype)
+        inbound = np.zeros(len(self.clusters), dtype=dtype)
+        np.add.at(inbound, dst, counts)
+        for a in (src, dst, counts, inbound):
+            a.flags.writeable = False
+        return src, dst, counts, inbound
+
+    @cached_property
     def predecessor_sets(self) -> tuple[frozenset[int], ...]:
         """Per-cluster sets of source-cluster indices."""
         preds: list[set[int]] = [set() for _ in self.clusters]

@@ -20,6 +20,14 @@ on each mapping, and the optimum's evaluation is read from them, not computed
 again. One table serves both the optimum and the front when the caller builds
 it once and passes it to each.
 
+Memory: the rows and the tile loads take the smallest unsigned type that
+holds every tile index and the capacity (uint8 up to 256 tiles), since the
+rows are only used as indices or turned into Python ints. So a canonical row
+costs C bytes, plus 24 B for its three float64 columns. The guard caps the
+rows, and an evaluation block holds a bounded number of cells whatever N is.
+The front's sweep sets the peak: its sorted copies of tau and aging and its
+int64 sort order add another 24 B a row on top of the table.
+
 Everything here is deliberately independent of the swarm's search: the
 optimum is the first argmin over the canonical rows, which is the first
 argmin over the full table since that row is the smallest of its orbit. The
@@ -77,8 +85,10 @@ def count_feasible_mappings(num_clusters: int, num_tiles: int, capacity: int) ->
 
 def _canonical_rows(snn: ClusteredSnn, hw: HardwareConfig) -> np.ndarray:
     """(N, C) array of the smallest row of each orbit of feasible assignments
-    under the mesh's isometries, in lexicographic order. The feasibility check
-    and the guard, which counts every feasible assignment, run first."""
+    under the mesh's isometries, in lexicographic order, in the smallest
+    unsigned type that holds every tile index and the capacity. The
+    feasibility check and the guard, which counts every feasible assignment,
+    run first."""
     num_clusters = len(snn.clusters)
     require_capacity(num_clusters, hw)
     count = count_feasible_mappings(num_clusters, hw.num_tiles, hw.tile_capacity)
@@ -91,14 +101,15 @@ def _canonical_rows(snn: ClusteredSnn, hw: HardwareConfig) -> np.ndarray:
     # each row's prefix. A tied map that sends the new tile lower drops the
     # child, whose image is a smaller row; one that sends it higher unties.
     moves = _mesh_isometries(hw)[1:].T - np.arange(hw.num_tiles)[:, None]  # image - tile
-    rows = np.zeros((1, 0), dtype=np.int64)
-    loads = np.zeros((1, hw.num_tiles), dtype=np.int64)
+    dtype = np.min_scalar_type(max(hw.num_tiles - 1, hw.tile_capacity))
+    rows = np.zeros((1, 0), dtype=dtype)
+    loads = np.zeros((1, hw.num_tiles), dtype=dtype)
     tied = np.ones((1, moves.shape[1]), dtype=bool)
     for c in range(num_clusters):
         parent, tile = np.nonzero(loads < hw.tile_capacity)
         keep = ~(tied[parent] & (moves[tile] < 0)).any(axis=1)
         parent, tile = parent[keep], tile[keep]
-        rows = np.column_stack((rows[parent], tile))
+        rows = np.column_stack((rows[parent], tile.astype(dtype)))
         if c + 1 < num_clusters:
             tied = tied[parent] & (moves[tile] == 0)
             loads = loads[parent]

@@ -11,9 +11,10 @@ execution_times evaluates a whole (n, C) array of assignments at once;
 EvalContext.evaluate_rows, the batch evaluator of the swarm and the exhaustive
 oracle, calls it on blocks of bounded size, and execution_time is its
 validated one-mapping case. It has no loop over edges: the edges' spike counts
-are summed per receiving cluster once, and one np.add.at puts those totals
-onto the tiles; the spike-hops of all edges are one integer matrix product of
-the per-row hop counts with the edge counts.
+are summed per receiving cluster once per instance (ClusteredSnn.edge_arrays),
+and one np.add.at puts those totals onto the tiles; the spike-hops of all
+edges are two integer matrix products of the per-row hop counts with the
+edge counts, one per mesh axis, so one (n, E) hop array is held at a time.
 """
 
 from __future__ import annotations
@@ -43,37 +44,32 @@ def spike_hop_bound(snn: ClusteredSnn, hw: HardwareConfig) -> int:
     """The edges' spike counts summed, times the longest route on hw's mesh:
     no tile's spike arrivals and no mapping's spike-hops exceed it."""
     width, height = hw.mesh
-    return sum(c for _, _, c in snn.resolved_edges) * max(1, width + height - 2)
+    return snn.spike_total * max(1, width + height - 2)
 
 
 def execution_times(
     rows: np.ndarray, snn: ClusteredSnn, hw: HardwareConfig, p: PerfParams
 ) -> np.ndarray:
-    """Estimated window time of every assignment in rows, an (n, C) integer
-    array of feasible tile indices (not validated here).
+    """Estimated window time of every assignment in rows, an (n, C) array of
+    feasible tile indices of any integer type (not validated here).
 
     Spike arrivals and spike-hops are exact integer sums; the float operations
     come last, once per row. Only snn.resolved_edges contribute: dangling
     edges add nothing.
     """
     rows = np.asarray(rows)
-    edges = snn.resolved_edges
-    width, _ = hw.mesh
-    # Python ints never overflow; fall back to them where int64 could.
-    dtype = np.int64 if spike_hop_bound(snn, hw) < 2 ** 63 else object
-    src = np.array([si for si, _, _ in edges], dtype=np.int64)
-    dst = np.array([di for _, di, _ in edges], dtype=np.int64)
-    counts = np.array([c for _, _, c in edges], dtype=dtype)
-    inbound = np.zeros(rows.shape[1], dtype=dtype)  # spikes arriving at each cluster
-    np.add.at(inbound, dst, counts)
-
-    tile_y, tile_x = np.divmod(np.arange(hw.num_tiles), width)
+    src, dst, counts, inbound = snn.edge_arrays
+    if spike_hop_bound(snn, hw) >= 2 ** 63:  # Python ints never overflow; int64 could
+        counts, inbound = counts.astype(object), inbound.astype(object)
     n = rows.shape[0]
-    arrivals = np.zeros((hw.num_tiles, n), dtype=dtype)
+    arrivals = np.zeros((hw.num_tiles, n), dtype=inbound.dtype)
     np.add.at(arrivals, (rows, np.arange(n)[:, None]), inbound)
-    x, y = tile_x[rows], tile_y[rows]
-    hops = abs(x[:, src] - x[:, dst]) + abs(y[:, src] - y[:, dst])  # (n, E)
-    comm = hops @ counts
+    comm = 0
+    for coord in np.divmod(np.arange(hw.num_tiles), hw.mesh[0]):  # tile rows, then columns
+        at = coord[rows]  # each cluster's, (n, C)
+        hops = at[:, src]  # (n, E)
+        hops -= at[:, dst]
+        comm = comm + np.abs(hops, out=hops) @ counts
     load = arrivals.max(axis=0) if p.tile_parallelism else arrivals.sum(axis=0)
     return np.asarray(load * p.spike_latency + comm * p.hop_latency, dtype=np.float64)
 

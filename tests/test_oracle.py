@@ -8,7 +8,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import wearmap.swarm as swarm_module
@@ -487,8 +487,19 @@ def _enumerations(draw):
     return _snn(num_clusters), hw
 
 
+def _row_of_tiles(num_tiles, capacity):
+    return HardwareConfig(num_tiles=num_tiles, crossbar_dim=64, mesh=(num_tiles, 1),
+                          device_profile=DeviceProfile(kind="diode_1D1R"), tile_capacity=capacity)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_enumerations())
+# Where the rows' type widens: tile indices past uint8 at 257 tiles, and a
+# capacity past uint8 on 2 tiles, whose indices still fit it.
+@example((_snn(2), _row_of_tiles(255, 1)))
+@example((_snn(2), _row_of_tiles(256, 1)))
+@example((_snn(2), _row_of_tiles(257, 1)))
+@example((_snn(3), _row_of_tiles(2, 256)))
 def test_canonical_rows_are_the_orbit_minima_of_the_feasible_set(instance):
     # The reference is two passes: every feasible row in lexicographic order,
     # then the smallest member of each orbit under the independently built
@@ -498,7 +509,8 @@ def test_canonical_rows_are_the_orbit_minima_of_the_feasible_set(instance):
     want = [m.assignment for m in _reference_mappings(snn, hw)
             if m.assignment == min(_orbit(m.assignment, group))]
     rows = _canonical_rows(snn, hw)
-    assert rows.dtype == np.int64 and rows.shape == (len(want), len(snn.clusters))
+    assert (rows.dtype == np.min_scalar_type(max(hw.num_tiles - 1, hw.tile_capacity))
+            and rows.shape == (len(want), len(snn.clusters)))
     assert [tuple(r) for r in rows.tolist()] == want
 
 

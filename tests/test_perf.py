@@ -6,7 +6,7 @@ from unittest.mock import MagicMock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wearmap.swarm as swarm_module
@@ -332,3 +332,48 @@ def test_evaluate_rows_across_blocks_equals_per_row_evaluate(batch):
             len(rows[lo:min(n, lo + step)]) for lo in range(0, n, step)]
         assert all(c.dtype == np.float64 and c.shape == (n,) for c in got)
         assert list(zip(*(c.tolist() for c in got))) == [tuple(e) for e in want[:n]]
+
+
+# Spike counts whose total fits int64 but whose spike_hop_bound on the 4x4
+# mesh does not, so execution_times sums them as Python ints.
+_OBJECT_SUMS = (
+    Workload(snn=_snn([("c0", "c1", 2 ** 61), ("c1", "c0", 2 ** 61 + 1), ("c2", "c1", 5)], n=3),
+             trains={"c0": SpikeTrain([0.1, 0.4]), "c1": SpikeTrain([0.2]),
+                     "c2": SpikeTrain([0.4, 0.9])}),
+    _hw(num_tiles=16, tile_capacity=3, mesh=(4, 4)),
+    np.array([[0, 15, 3], [15, 0, 0], [5, 6, 6], [3, 3, 3]], dtype=np.int64),
+    PerfParams(), 7)
+
+# A one-row mesh of 256 tiles, whose indices just fit uint8 but whose width
+# does not.
+_WIDE_ROW = (
+    Workload(snn=_snn([("c0", "c1", 3), ("c1", "c2", 4), ("c2", "c0", 5)], n=3),
+             trains={"c0": SpikeTrain([0.1]), "c1": SpikeTrain([0.2]), "c2": SpikeTrain([])}),
+    _hw(num_tiles=256, tile_capacity=3, mesh=(256, 1)),
+    np.array([[0, 255, 128], [255, 0, 0], [7, 7, 7]], dtype=np.int64),
+    PerfParams(hop_latency=3e-6), 300)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_multi_block_batches())
+@example(_OBJECT_SUMS)
+@example(_WIDE_ROW)
+def test_row_type_does_not_change_any_column(batch):
+    # The oracle passes its rows in the smallest unsigned type that holds the
+    # tile indices, the swarm passes int64: every column must be the same.
+    workload, hw, rows, p, cells = batch
+    snn = workload.snn
+
+    def columns(r):
+        ctx = EvalContext(workload, hw, AgingParams(), p)
+        tau = execution_times(r, snn, hw, p).tolist()
+        aging = ctx.worst_tile_agings(r).tolist()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(swarm_module, "_BLOCK_CELLS", cells)
+            ev = [c.tolist() for c in EvalContext(workload, hw, AgingParams(), p).evaluate_rows(r)]
+        return tau, aging, ev
+
+    want = columns(rows)
+    assert want[0] == [_reference_execution_time(snn, r, hw, p) for r in rows.tolist()]
+    for dtype in (np.uint8, np.uint16):
+        assert columns(rows.astype(dtype)) == want
