@@ -21,12 +21,10 @@ again. One table serves both the optimum and the front when the caller builds
 it once and passes it to each.
 
 Memory: the rows and the tile loads take the smallest unsigned type that
-holds every tile index and the capacity (uint8 up to 256 tiles), since the
-rows are only used as indices or turned into Python ints. So a canonical row
-costs C bytes, plus 24 B for its three float64 columns. The guard caps the
-rows, and an evaluation block holds a bounded number of cells whatever N is.
-The front's sweep sets the peak: its sorted copies of tau and aging and its
-int64 sort order add another 24 B a row on top of the table.
+holds every tile index and every tile load, since the rows are only used as
+indices or turned into Python ints. So a canonical row costs C bytes plus its
+three float64 columns. The guard caps the rows, and an evaluation block holds
+at most a fixed number of cells per array whatever N is.
 
 Everything here is deliberately independent of the swarm's search: the
 optimum is the first argmin over the canonical rows, which is the first
@@ -86,7 +84,7 @@ def count_feasible_mappings(num_clusters: int, num_tiles: int, capacity: int) ->
 def _canonical_rows(snn: ClusteredSnn, hw: HardwareConfig) -> np.ndarray:
     """(N, C) array of the smallest row of each orbit of feasible assignments
     under the mesh's isometries, in lexicographic order, in the smallest
-    unsigned type that holds every tile index and the capacity. The
+    unsigned type that holds every tile index and every tile load. The
     feasibility check and the guard, which counts every feasible assignment,
     run first."""
     num_clusters = len(snn.clusters)
@@ -101,7 +99,8 @@ def _canonical_rows(snn: ClusteredSnn, hw: HardwareConfig) -> np.ndarray:
     # each row's prefix. A tied map that sends the new tile lower drops the
     # child, whose image is a smaller row; one that sends it higher unties.
     moves = _mesh_isometries(hw)[1:].T - np.arange(hw.num_tiles)[:, None]  # image - tile
-    dtype = np.min_scalar_type(max(hw.num_tiles - 1, hw.tile_capacity))
+    # A load never passes the cluster count, however large the capacity.
+    dtype = np.min_scalar_type(max(hw.num_tiles - 1, min(hw.tile_capacity, num_clusters)))
     rows = np.zeros((1, 0), dtype=dtype)
     loads = np.zeros((1, hw.num_tiles), dtype=dtype)
     tied = np.ones((1, moves.shape[1]), dtype=bool)

@@ -50,16 +50,10 @@ from .model import ClusteredSnn, HardwareConfig, Mapping, Workload
 from .perf import PerfParams, execution_time, execution_times
 
 
-# evaluate_rows takes a batch in blocks of n rows, at most this many (edge,
-# tile or cluster) x row cells, so no batch, however large, is held as one
-# (n, E) array, and each (T, n), (n, C) or (n, E) array of 8-byte items in a
-# block is at most 256 kB. execution_times holds the arrivals, and one tile
-# coordinate per cluster and one hop count per edge at a time;
-# worst_tile_agings holds the rows, the cells, masks of ceil(C / 64) words a
-# cell, and T x n hosted-set keys as Python bytes of about 48 B each. A block
-# of 2,048 rows of 9 clusters and 16 edges peaks near 0.75 MB in each. Every
-# swarm batch of 96 rows or fewer fits one block up to E = 341 edges.
-_BLOCK_CELLS = 1 << 15
+# evaluate_rows takes a batch in blocks of at most this many (edge, tile or
+# cluster) x row cells, so each (T, n), (n, C) or (n, E) array of a block holds
+# at most this many cells, however large the batch.
+_BLOCK_CELLS = 1 << 16
 
 # The tile cache's entry for a hosted set seen before it has a finite bound
 # (or that has none): it reads as an infinite bound, so the set goes to the

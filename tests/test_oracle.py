@@ -494,12 +494,16 @@ def _row_of_tiles(num_tiles, capacity):
 
 @settings(max_examples=150, deadline=None)
 @given(_enumerations())
-# Where the rows' type widens: tile indices past uint8 at 257 tiles, and a
-# capacity past uint8 on 2 tiles, whose indices still fit it.
+# Where the rows' type widens: tile indices past uint8 at 257 tiles, and
+# loads past uint8 at 256 clusters on one tile. A capacity past uint8, or past
+# every NumPy integer, leaves the loads of 3 clusters in uint8.
 @example((_snn(2), _row_of_tiles(255, 1)))
 @example((_snn(2), _row_of_tiles(256, 1)))
 @example((_snn(2), _row_of_tiles(257, 1)))
+@example((_snn(255), _row_of_tiles(1, 256)))
+@example((_snn(256), _row_of_tiles(1, 256)))
 @example((_snn(3), _row_of_tiles(2, 256)))
+@example((_snn(3), _row_of_tiles(2, 2 ** 64)))
 def test_canonical_rows_are_the_orbit_minima_of_the_feasible_set(instance):
     # The reference is two passes: every feasible row in lexicographic order,
     # then the smallest member of each orbit under the independently built
@@ -509,8 +513,11 @@ def test_canonical_rows_are_the_orbit_minima_of_the_feasible_set(instance):
     want = [m.assignment for m in _reference_mappings(snn, hw)
             if m.assignment == min(_orbit(m.assignment, group))]
     rows = _canonical_rows(snn, hw)
-    assert (rows.dtype == np.min_scalar_type(max(hw.num_tiles - 1, hw.tile_capacity))
-            and rows.shape == (len(want), len(snn.clusters)))
+    num_clusters = len(snn.clusters)
+    # a load never passes the cluster count
+    loads = min(hw.tile_capacity, num_clusters)
+    assert (rows.dtype == np.min_scalar_type(max(hw.num_tiles - 1, loads))
+            and rows.dtype.kind == "u" and rows.shape == (len(want), num_clusters))
     assert [tuple(r) for r in rows.tolist()] == want
 
 

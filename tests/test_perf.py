@@ -307,33 +307,6 @@ def _multi_block_batches(draw):
     return Workload(snn=snn, trains=trains), hw, np.array(rows, dtype=np.int64), p, cells
 
 
-@settings(max_examples=200, deadline=None)
-@given(_multi_block_batches())
-def test_evaluate_rows_across_blocks_equals_per_row_evaluate(batch):
-    # evaluate_rows splits a batch into blocks of at most `cells` (edge, tile
-    # or cluster) x row cells, so these batches of up to 40 rows cross several
-    # block boundaries. The empty batch, one row and the whole batch each
-    # equal evaluate on every row, and tau the scalar reference.
-    workload, hw, rows, p, cells = batch
-    snn = workload.snn
-    ref_ctx = EvalContext(workload, hw, AgingParams(), p)
-    want = [ref_ctx.evaluate(Mapping(r)) for r in rows.tolist()]
-    assert [e.tau for e in want] == [_reference_execution_time(snn, r, hw, p)
-                                     for r in rows.tolist()]
-    step = max(1, cells // max(len(snn.resolved_edges), hw.num_tiles, len(snn.clusters)))
-    for n in (0, 1, len(rows)):
-        ctx = EvalContext(workload, hw, AgingParams(), p)
-        blocks = MagicMock(wraps=execution_times)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(swarm_module, "_BLOCK_CELLS", cells)
-            mp.setattr(swarm_module, "execution_times", blocks)
-            got = ctx.evaluate_rows(rows[:n])
-        assert [len(c.args[0]) for c in blocks.call_args_list] == [
-            len(rows[lo:min(n, lo + step)]) for lo in range(0, n, step)]
-        assert all(c.dtype == np.float64 and c.shape == (n,) for c in got)
-        assert list(zip(*(c.tolist() for c in got))) == [tuple(e) for e in want[:n]]
-
-
 # Spike counts whose total fits int64 but whose spike_hop_bound on the 4x4
 # mesh does not, so execution_times sums them as Python ints.
 _OBJECT_SUMS = (
@@ -354,26 +327,36 @@ _WIDE_ROW = (
     PerfParams(hop_latency=3e-6), 300)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(_multi_block_batches())
 @example(_OBJECT_SUMS)
 @example(_WIDE_ROW)
-def test_row_type_does_not_change_any_column(batch):
-    # The oracle passes its rows in the smallest unsigned type that holds the
-    # tile indices, the swarm passes int64: every column must be the same.
+def test_evaluate_rows_across_blocks_equals_per_row_evaluate(batch):
+    # evaluate_rows splits a batch into blocks of at most `cells` (edge, tile
+    # or cluster) x row cells, so these batches of up to 40 rows cross several
+    # block boundaries. The empty batch, one row and the whole batch each
+    # equal evaluate on every row, and tau the scalar reference. The rows come
+    # as int64, as the swarm passes them, and in the unsigned types the oracle
+    # passes; execution_times and worst_tile_agings also take them whole.
     workload, hw, rows, p, cells = batch
     snn = workload.snn
-
-    def columns(r):
+    ref_ctx = EvalContext(workload, hw, AgingParams(), p)
+    want = [ref_ctx.evaluate(Mapping(r)) for r in rows.tolist()]
+    assert [e.tau for e in want] == [_reference_execution_time(snn, r, hw, p)
+                                     for r in rows.tolist()]
+    step = max(1, cells // max(len(snn.resolved_edges), hw.num_tiles, len(snn.clusters)))
+    for typed in (rows, rows.astype(np.uint8), rows.astype(np.uint16)):
+        assert execution_times(typed, snn, hw, p).tolist() == [e.tau for e in want]
         ctx = EvalContext(workload, hw, AgingParams(), p)
-        tau = execution_times(r, snn, hw, p).tolist()
-        aging = ctx.worst_tile_agings(r).tolist()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(swarm_module, "_BLOCK_CELLS", cells)
-            ev = [c.tolist() for c in EvalContext(workload, hw, AgingParams(), p).evaluate_rows(r)]
-        return tau, aging, ev
-
-    want = columns(rows)
-    assert want[0] == [_reference_execution_time(snn, r, hw, p) for r in rows.tolist()]
-    for dtype in (np.uint8, np.uint16):
-        assert columns(rows.astype(dtype)) == want
+        assert ctx.worst_tile_agings(typed).tolist() == [e.aging for e in want]
+        for n in (0, 1, len(rows)):
+            ctx = EvalContext(workload, hw, AgingParams(), p)
+            blocks = MagicMock(wraps=execution_times)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(swarm_module, "_BLOCK_CELLS", cells)
+                mp.setattr(swarm_module, "execution_times", blocks)
+                got = ctx.evaluate_rows(typed[:n])
+            assert [len(c.args[0]) for c in blocks.call_args_list] == [
+                len(rows[lo:min(n, lo + step)]) for lo in range(0, n, step)]
+            assert all(c.dtype == np.float64 and c.shape == (n,) for c in got)
+            assert list(zip(*(c.tolist() for c in got))) == [tuple(e) for e in want[:n]]
