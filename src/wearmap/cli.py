@@ -21,7 +21,6 @@ import csv
 import hashlib
 import json
 import math
-import statistics
 import sys
 import time
 from dataclasses import asdict, replace
@@ -57,6 +56,7 @@ from .oracle import (
     count_feasible_mappings,
 )
 from .swarm import (
+    Archive,
     EvalContext,
     Evaluation,
     InfeasibleError,
@@ -117,6 +117,28 @@ def _astr(assignment: tuple[int, ...]) -> str:
     return " ".join(map(str, assignment))
 
 
+def _write_archive(path: Path, archive: Archive, num_tiles: int) -> None:
+    """archive.csv, streamed from the archive's columns one entry at a time.
+    Each assignment's text is built once, and hashed as _hash does, with
+    commas for its spaces. The lines are the ones csv.writer would write: no
+    field holds a comma, a quote or a line break, and floats print as repr."""
+    names = [str(t) for t in range(num_tiles)]
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write("mapping_hash,assignment,tau,aging,lambda,iteration\n")
+        for row, tau, aging, lam, iteration in archive.records():
+            text = " ".join([names[t] for t in row])
+            digest = hashlib.sha256(text.replace(" ", ",").encode("ascii")).hexdigest()[:12]
+            f.write(f"{digest},{text},{tau!r},{aging!r},{lam!r},{iteration}\n")
+
+
+def _median(values: list[float]) -> float:
+    """statistics.median, without that module's imports: the middle of the
+    sorted values, or the mean of the two middle ones."""
+    data = sorted(values)
+    i = len(data) // 2
+    return data[i] if len(data) % 2 else (data[i - 1] + data[i]) / 2
+
+
 def _record(mapping: Mapping, ev: Evaluation) -> dict:
     """A mapping's assignment and objectives, as summary.json and verify.json
     report each evaluated mapping."""
@@ -154,15 +176,17 @@ def _write_plot_data(args, out_dir: Path, series) -> None:
                     for metric, value in zip(metrics, values)])
 
 
-def _search(cfg: RunConfig, hw: HardwareConfig):
-    """The joint swarm run, the mapping select_final picks from its front,
-    and that mapping's evaluation, read off its front point."""
-    ctx = EvalContext(cfg.workload, hw, cfg.aging, cfg.perf)
+def _search(cfg: RunConfig, hw: HardwareConfig, ctx: EvalContext | None = None):
+    """The joint swarm run on hw (in ctx, or a fresh context), the mapping
+    select_final picks from its front, and that mapping's evaluation, read off
+    its front point. A caller keeps only what it uses, so that no result
+    outlives its use."""
+    ctx = ctx or EvalContext(cfg.workload, hw, cfg.aging, cfg.perf)
     res = optimize(cfg.workload.snn, hw, cfg.pso, ctx)
     selected = select_final(res.front, cfg.epsilon)
     point = next(p for p in res.front.points if p.mapping == selected)
     lam = lambdas(point.tau, point.aging).item()
-    return ctx, res, selected, Evaluation(point.tau, point.aging, lam)
+    return res, selected, Evaluation(point.tau, point.aging, lam)
 
 
 def cmd_calibrate(args, cfg: RunConfig, out_dir: Path) -> int:
@@ -186,19 +210,14 @@ def cmd_calibrate(args, cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_map(args, cfg: RunConfig, out_dir: Path) -> int:
-    _, res, selected, ev = _search(cfg, cfg.hardware)
+    res, selected, ev = _search(cfg, cfg.hardware)
     report = evaluate_hardware_aging(cfg.workload, selected, cfg.hardware, cfg.aging)
 
     _write_json(out_dir / "mapping.json", {
         "assignment": list(selected.assignment),
         "mapping_hash": _hash(selected.assignment),
     })
-    _write_csv(
-        out_dir / "archive.csv",
-        ["mapping_hash", "assignment", "tau", "aging", "lambda", "iteration"],
-        [[_hash(e.assignment), _astr(e.assignment), float(e.tau), float(e.aging),
-          float(e.lam), e.iteration] for e in res.archive],
-    )
+    _write_archive(out_dir / "archive.csv", res.archive, cfg.hardware.num_tiles)
     front_points = [(p.mapping.assignment, float(p.tau), float(p.aging))
                     for p in res.front.points]
     _write_csv(
@@ -270,7 +289,7 @@ def cmd_sweep(args, cfg: RunConfig, out_dir: Path) -> int:
     variants = [_hardware_variant(cfg, args.axis, value) for value in values]
     results = []
     for value, hw in zip(values, variants):
-        *_, ev = _search(cfg, hw)
+        ev = _search(cfg, hw)[-1]
         results.append((args.axis, value, ev.tau, ev.aging))
     header = ["axis", "value", "tau", "aging", "mttf", "tau_norm", "aging_norm", "mttf_norm"]
     rows = _relative_rows(cfg, results)
@@ -284,7 +303,8 @@ def cmd_sweep(args, cfg: RunConfig, out_dir: Path) -> int:
 
 def cmd_compare(args, cfg: RunConfig, out_dir: Path) -> int:
     hw = cfg.hardware
-    ctx_joint, _, sel_joint, ev_joint = _search(cfg, hw)
+    ctx_joint = EvalContext(cfg.workload, hw, cfg.aging, cfg.perf)
+    sel_joint, ev_joint = _search(cfg, hw, ctx_joint)[1:]
     res_perf = optimize(cfg.workload.snn, hw, cfg.pso,
                         EvalContext(cfg.workload, hw, cfg.aging, cfg.perf, objective="tau"))
     ev_perf = res_perf.evaluation
@@ -298,8 +318,8 @@ def cmd_compare(args, cfg: RunConfig, out_dir: Path) -> int:
         bits, pref = _random_corner(rng, shape)
         assignments.append(repair(bits, hw, rng, pref=pref).assignment)
     samples = ctx_joint.evaluate_rows(np.array(assignments))
-    rand_tau = statistics.median(samples.tau.tolist())
-    rand_aging = statistics.median(samples.aging.tolist())
+    rand_tau = _median(samples.tau.tolist())
+    rand_aging = _median(samples.aging.tolist())
 
     header = ["strategy", "assignment", "tau", "aging", "mttf", "tau_ratio", "aging_ratio",
               "mttf_ratio"]

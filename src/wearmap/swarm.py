@@ -8,9 +8,12 @@ corners of the personal bests (each an assignment row) and of the global best
 sigmoid of the velocity, and repairs the result into the feasible set. The
 scalar being minimized is lambda = tau * aging, taken as 0 when tau is 0 (or
 tau alone when the context selects the time-only objective). Every feasible
-evaluation lands in an archive, the only store of evaluations: the (tau,
-aging) Pareto front and the best mapping's evaluation are both read from it
-afterwards.
+evaluation is kept, the only store of evaluations: each iteration's repaired
+rows, in the smallest unsigned type that holds a tile index, with their
+float64 tau, aging and lambda columns. optimize builds the archive from them
+once, at the end: the first occurrence of each distinct row, in evaluation
+order, as read-only columns. The (tau, aging) Pareto front and the best
+mapping's evaluation are both read from it.
 
 A step works on the whole swarm at once: one sigmoid of the (n_p, C, T)
 velocity, which feeds both the bit draw (the one binarize also makes) and
@@ -26,9 +29,10 @@ kernel only when its bound can still reach its row's worst.
 Initialization is that same update applied to the random starting corners
 as iteration 0, and evaluate is the validated one-mapping case. Python loops
 over particles only for the overloaded rows repair has to move and for the
-archive, and over hosted sets only for those not yet cached and those the
-kernel computes; the improved personal-best rows are written in one masked
-assignment. The front is one sweep over the archive sorted by (tau, aging).
+front's few points, and over hosted sets only for those not yet cached and
+those the kernel computes; the improved personal-best rows are written in one
+masked assignment. The front is one sweep over the archive's columns sorted by
+(tau, aging).
 
 All randomness flows from one seeded generator, and best-updates reduce in
 particle-index order, so a run is a pure function of (instance, config).
@@ -40,7 +44,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import islice, repeat
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -145,7 +149,7 @@ class EvalContext:
         below the row's new worst. A cell left out has a bound below that
         worst, so the result is the exact maximum over the row's tiles, NaN
         included (a NaN worst skips nothing)."""
-        rows = np.asarray(rows, dtype=np.int64)
+        rows = np.asarray(rows)  # any integer type: np.add.at indexes with it as it is
         n, num_clusters = rows.shape
         words = -(-num_clusters // 64)
         cluster = np.arange(num_clusters)
@@ -256,6 +260,75 @@ class ArchiveEntry:
     iteration: int
 
 
+def _keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of a C-contiguous (n, C) array as one opaque value, so that
+    rows sort and compare whole."""
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+
+
+@dataclass(frozen=True, eq=False)
+class Archive:
+    """Every distinct evaluated mapping, in the order first evaluated, as
+    read-only columns: the (N, C) assignment rows, float64 tau, aging and
+    lambda, and the iteration each row first appeared in. As a sequence it
+    yields ArchiveEntry values of Python ints and floats, converted a block of
+    rows at a time."""
+
+    rows: np.ndarray
+    tau: np.ndarray
+    aging: np.ndarray
+    lam: np.ndarray
+    iteration: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.tau)
+
+    def __getitem__(self, i: int) -> ArchiveEntry:
+        return ArchiveEntry(tuple(self.rows[i].tolist()), self.tau[i].item(),
+                            self.aging[i].item(), self.lam[i].item(), self.iteration[i].item())
+
+    def __iter__(self) -> Iterator[ArchiveEntry]:
+        for row, *values in self.records():
+            yield ArchiveEntry(tuple(row), *values)
+
+    def records(self) -> Iterator[tuple[list[int], float, float, float, int]]:
+        """(assignment, tau, aging, lambda, iteration) of every entry in order,
+        as Python values, without building any list as long as the archive."""
+        step = max(1, _BLOCK_CELLS // self.rows.shape[1])
+        columns = (self.rows, self.tau, self.aging, self.lam, self.iteration)
+        for lo in range(0, len(self), step):
+            yield from zip(*(c[lo:lo + step].tolist() for c in columns))
+
+    def index(self, row: np.ndarray) -> int:
+        """The position of an archived assignment row."""
+        key = _keys(np.asarray(row, dtype=self.rows.dtype)[None])
+        return int(np.flatnonzero(_keys(self.rows) == key)[0])
+
+
+def _first_occurrences(rows: np.ndarray) -> np.ndarray:
+    """The index of each distinct row's first occurrence, ascending."""
+    keys = _keys(rows)
+    order = keys.argsort(kind="stable")  # a row's first occurrence leads its run
+    ordered = keys[order]
+    leads = np.ones(len(keys), dtype=bool)
+    leads[1:] = ordered[1:] != ordered[:-1]
+    return np.sort(order[leads])
+
+
+def _archive(batches: list[tuple[np.ndarray, Evaluation]]) -> Archive:
+    """The archive of a run's evaluated batches (one per iteration, in order,
+    n_p rows each): the first occurrence of each distinct row, in evaluation
+    order, whose iteration is its evaluation index // n_p."""
+    rows = np.concatenate([b for b, _ in batches])
+    first = _first_occurrences(rows)
+    iteration = (first // len(batches[0][0])).astype(np.min_scalar_type(len(batches) - 1))
+    columns = [rows[first], *(np.concatenate(c)[first] for c in zip(*(ev for _, ev in batches))),
+               iteration]
+    for column in columns:
+        column.flags.writeable = False
+    return Archive(*columns)
+
+
 @dataclass
 class SwarmState:
     """Mutable swarm snapshot; single writer, stepped in place."""
@@ -267,7 +340,9 @@ class SwarmState:
     g_best: int  # the particle whose personal best is the global best
     iteration: int
     rng: np.random.Generator
-    archive: dict[tuple[int, ...], ArchiveEntry] = field(default_factory=dict)
+    # Each update's rows, in the smallest unsigned type that holds a tile
+    # index, and their Evaluation columns: the archive's source (_archive).
+    batches: list[tuple[np.ndarray, Evaluation]] = field(default_factory=list)
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
@@ -413,14 +488,13 @@ def _corners(rows: np.ndarray, num_tiles: int) -> np.ndarray:
 
 
 def _update(state: SwarmState, rows: np.ndarray, ctx: EvalContext) -> None:
-    """Evaluate one iteration's repaired rows in one batch, archive each new
-    assignment in particle order, update personal bests on strict improvement,
-    then the global best: only a minimum strictly below the incumbent's value
-    before this update moves it (to the lowest index of that minimum)."""
+    """Evaluate one iteration's repaired rows in one batch, keep them with
+    their evaluation for the archive, update personal bests on strict
+    improvement, then the global best: only a minimum strictly below the
+    incumbent's value before this update moves it (to the lowest index of that
+    minimum)."""
     ev = ctx.evaluate_rows(rows)
-    for assignment, *values in zip(map(tuple, rows.tolist()), *(c.tolist() for c in ev)):
-        if assignment not in state.archive:  # values: tau, aging, lam
-            state.archive[assignment] = ArchiveEntry(assignment, *values, state.iteration)
+    state.batches.append((rows.astype(np.min_scalar_type(ctx.hw.num_tiles - 1)), ev))
     scalar = ev.lam if ctx.objective == "lambda" else ev.tau
     incumbent = state.p_best_fit[state.g_best]
     improved = scalar < state.p_best_fit
@@ -516,29 +590,32 @@ class ParetoFront:
             prev = p
 
 
-def extract_pareto(archive: Iterable[ArchiveEntry]) -> ParetoFront:
+def extract_pareto(archive: Archive) -> ParetoFront:
     """Exact non-dominated subset of the archive under (tau, aging) minimization,
     sorted by (tau, aging, assignment).
 
     NaN objectives are refused: they have no order, so neither the sort nor the
     sweep below could place them.
     """
-    entries = list(archive)
-    if not entries:
+    tau, aging = archive.tau, archive.aging
+    if not len(tau):
         raise ValueError("archive is empty")
-    if any(math.isnan(e.tau) or math.isnan(e.aging) for e in entries):
+    if np.isnan(tau).any() or np.isnan(aging).any():
         raise ValueError("archive holds a NaN objective")
-    entries.sort(key=lambda e: (e.tau, e.aging, e.assignment))
-    # One sweep (Kung, Luccio & Preparata 1975): an entry is on the front when
-    # it ages strictly less than the last point kept, or ties that point's
-    # (tau, aging). The fastest group is never dominated, even at inf aging.
-    points = [entries[0]]
-    for e in entries[1:]:
-        last = points[-1]
-        if e.aging < last.aging or (e.tau == last.tau and e.aging == last.aging):
-            points.append(e)
-    return ParetoFront(points=tuple(FrontPoint(Mapping(e.assignment), e.tau, e.aging)
-                                    for e in points))
+    # One sweep (Kung, Luccio & Preparata 1975) over the entries sorted by
+    # (tau, aging): the first entry of each run of equal (tau, aging) is on the
+    # front when it ages strictly less than every entry before it, and the rest
+    # of its run with it. The fastest run is never dominated, even at inf aging.
+    order = np.lexsort((aging, tau))
+    t, a = tau[order], aging[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (t[1:] != t[:-1]) | (a[1:] != a[:-1])
+    kept = np.ones(len(order), dtype=bool)
+    kept[1:] = a[1:] < np.minimum.accumulate(a)[:-1]
+    keep = order[kept[starts][np.cumsum(starts) - 1]]
+    points = sorted(zip(tau[keep].tolist(), aging[keep].tolist(),
+                        map(tuple, archive.rows[keep].tolist())))
+    return ParetoFront(points=tuple(FrontPoint(Mapping(row), *values) for *values, row in points))
 
 
 def select_final(front: ParetoFront, epsilon: float = 0.05) -> Mapping:
@@ -565,7 +642,7 @@ class OptimizeResult:
     mapping: Mapping
     evaluation: Evaluation
     front: ParetoFront
-    archive: tuple[ArchiveEntry, ...]
+    archive: Archive
     iterations: int
     total_evaluations: int
     unique_mappings: int
@@ -583,14 +660,14 @@ def optimize(
     state = initialize_swarm(resolved, ctx)
     for _ in range(iters):
         step_swarm(state, resolved, ctx)
-    front = extract_pareto(state.archive.values())
-    best = state.archive[tuple(state.p_best[state.g_best].tolist())]
+    archive = _archive(state.batches)
+    best = archive[archive.index(state.p_best[state.g_best])]
     return OptimizeResult(
         mapping=Mapping(best.assignment),
         evaluation=Evaluation(best.tau, best.aging, best.lam),
-        front=front,
-        archive=tuple(state.archive.values()),
+        front=extract_pareto(archive),
+        archive=archive,
         iterations=iters,
         total_evaluations=n_p * (iters + 1),
-        unique_mappings=len(state.archive),
+        unique_mappings=len(archive),
     )

@@ -5,14 +5,16 @@ import hashlib
 import json
 import math
 import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wearmap.cli as cli
@@ -26,7 +28,7 @@ from wearmap.config import (
     load_run_config,
     parse_run_config,
 )
-from wearmap.swarm import EvalContext, InfeasibleError, optimize
+from wearmap.swarm import Archive, EvalContext, InfeasibleError, optimize
 
 
 def _times(n):
@@ -1266,3 +1268,41 @@ def test_cli_unusable_output_dir_exits_2(tmp_path, capsys, via_config, where):
     assert err.startswith("error: ") and repr(str(out)) in err
     if not blocked:
         assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+
+
+# Few distinct values, so that ties are common; inf of both signs included.
+_SAMPLES = st.one_of(st.sampled_from([0.0, 1.0, 2.5, math.inf, -math.inf]),
+                     st.floats(allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SAMPLES, min_size=1, max_size=9))
+@example([3.0, 1.0, 2.0])
+@example([4.0, 1.0, 3.0, 2.0])
+@example([1.0, 1.0, 2.0, 2.0])
+@example([1.0, math.inf])
+@example([math.inf, math.inf, 0.0])
+@example([-math.inf, math.inf])
+def test_median_is_statistics_median(values):
+    # compare's random baseline takes its medians without the statistics
+    # module; odd and even lengths, ties and inf give statistics.median's
+    # value, its sign of zero and its NaN (-inf + inf) included.
+    assert repr(cli._median(values)) == repr(statistics.median(values))
+
+
+def test_write_archive_is_what_csv_writer_writes(tmp_path):
+    # archive.csv is formatted line by line from the archive's columns. Its
+    # bytes are what csv.writer writes from each entry's hash, assignment
+    # text, floats and iteration: for tiny, zero, large and inf floats, tile
+    # indices past 255, and iterations past 65535.
+    entries = [((0, 299, 7), 1.5e-300, math.inf, math.inf, 0),
+               ((300, 1, 1), 0.0, 5e-324, 0.0, 1),
+               ((12, 0, 256), 123.456, 1e16, 1.2345678901234567e18, 70000)]
+    columns = list(zip(*entries))
+    archive = Archive(np.array(columns[0], dtype=np.uint16),
+                      *(np.array(c) for c in columns[1:4]), np.array(columns[4], dtype=np.uint32))
+    cli._write_archive(tmp_path / "archive.csv", archive, 301)
+    cli._write_csv(tmp_path / "reference.csv",
+                   ["mapping_hash", "assignment", "tau", "aging", "lambda", "iteration"],
+                   [[cli._hash(a), cli._astr(a), *values] for a, *values in entries])
+    assert (tmp_path / "archive.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()

@@ -49,6 +49,7 @@ from wearmap.swarm import (
 )
 
 from test_perf import _mesh_automorphisms
+from test_swarm import _as_archive
 
 
 def _hw(num_tiles, tile_capacity=1):
@@ -254,7 +255,7 @@ def test_pareto_matches_archive_extraction():
                 assignment=m.assignment, tau=ev.tau, aging=ev.aging,
                 lam=ev.lam, iteration=0,
             ))
-        swept = extract_pareto(entries)
+        swept = extract_pareto(_as_archive(entries))
         got = [(p.tau, p.aging, p.mapping.assignment) for p in swept.points]
         want = [(p.tau, p.aging, p.mapping.assignment) for p in oracle_front.points]
         assert got == want

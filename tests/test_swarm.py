@@ -8,6 +8,7 @@ import hashlib
 import itertools
 import math
 from pathlib import Path
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import numpy as np
@@ -40,6 +41,7 @@ from wearmap.model import (
 )
 from wearmap.perf import PerfParams, execution_time
 from wearmap.swarm import (
+    Archive,
     ArchiveEntry,
     EvalContext,
     Evaluation,
@@ -57,7 +59,7 @@ from wearmap.swarm import (
     select_final,
     step_swarm,
 )
-from wearmap.swarm import _corners, _ring_orders, _ring_walk, _sigmoid, _update
+from wearmap.swarm import _archive, _corners, _ring_orders, _ring_walk, _sigmoid, _update
 
 
 def _hw(num_tiles=4, tile_capacity=1, mesh=None):
@@ -695,10 +697,11 @@ def test_initialize_swarm_feasible_and_evaluated():
     assert state.p_best.shape == (8, 3) and state.p_best.dtype == np.int64
     assert np.array_equal(_corners(state.p_best, 3), state.positions)
     assert state.iteration == 0
-    assert len(state.archive) >= 1
+    archive = _archive(state.batches)
+    assert len(archive) >= 1
     assert state.p_best_fit[state.g_best] == min(state.p_best_fit)
     snn = ctx.workload.snn
-    for entry in state.archive.values():
+    for entry in archive:
         assert mapping_violations(Mapping(entry.assignment), snn, ctx.hw) == []
 
 
@@ -720,7 +723,7 @@ def test_initialize_all_infinite_swarm_keeps_particle_zero():
     # every personal best is still its particle's repaired starting row
     assert np.array_equal(state.p_best, state.positions.argmax(axis=2))
     assert np.array_equal(_corners(state.p_best, 3), state.positions)
-    assert {e.iteration for e in state.archive.values()} == {0}
+    assert {e.iteration for e in _archive(state.batches)} == {0}
 
 
 def test_step_zero_phi_keeps_positions():
@@ -821,8 +824,9 @@ def test_swarm_bests_are_archived_and_g_best_holds_the_minimum(make_ctx, n_p, se
         if step:
             step_swarm(state, cfg, ctx)
         assert state.p_best.shape == (n_p, len(ctx.workload.snn.clusters))
+        archive = {e.assignment: e for e in _archive(state.batches)}
         for row, fit in zip(state.p_best.tolist(), state.p_best_fit.tolist()):
-            entry = state.archive[tuple(row)]
+            entry = archive[tuple(row)]
             assert (entry.lam if objective == "lambda" else entry.tau) == fit
         assert state.p_best_fit[state.g_best] == state.p_best_fit.min()
 
@@ -887,7 +891,7 @@ def test_optimize_deterministic():
     r2 = optimize(ctx2.workload.snn, ctx2.hw, cfg, ctx2)
     assert r1.mapping.assignment == r2.mapping.assignment
     assert r1.evaluation == r2.evaluation
-    assert r1.archive == r2.archive
+    assert list(r1.archive) == list(r2.archive)
     assert r1.front == r2.front
 
 
@@ -975,6 +979,71 @@ def test_optimize_archive_golden():
         "c7778d43683b4d26bac337872f087a28cbd069a8520da6fd8d706d88ef714340"
 
 
+# ---------------------------------------------------------------- archive
+
+
+def _reference_archive(batches):
+    # The archive as a dict, as _update kept it before the archive became
+    # arrays: each assignment not seen before, in particle order, with its
+    # values and the iteration of its batch.
+    archive = {}
+    for iteration, (rows, ev) in enumerate(batches):
+        for assignment, *values in zip(map(tuple, rows.tolist()), *(c.tolist() for c in ev)):
+            if assignment not in archive:  # values: tau, aging, lam
+                archive[assignment] = ArchiveEntry(assignment, *values, iteration)
+    return archive
+
+
+@st.composite
+def _evaluated_batches(draw):
+    # Batches drawn from a small pool of rows, so that rows repeat within a
+    # batch and across iterations; meshes past 256 tiles store uint16 rows.
+    num_tiles = draw(st.sampled_from([1, 3, 16, 256, 257, 300]))
+    num_clusters, n_p = draw(st.integers(1, 4)), draw(st.integers(2, 6))
+    pool = draw(st.lists(st.tuples(*[st.integers(0, num_tiles - 1)] * num_clusters),
+                         min_size=1, max_size=8, unique=True))
+    # tau is finite, as the config guarantees; lambda is then never NaN.
+    tau = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1e3))
+    aging = st.one_of(st.sampled_from([0.0, 1.0, math.inf]), st.floats(0.0, 1e3))
+    values = {row: draw(st.tuples(tau, aging)) for row in pool}
+    batches = []
+    for _ in range(draw(st.integers(1, 6))):
+        rows = np.array(draw(st.lists(st.sampled_from(pool), min_size=n_p, max_size=n_p)))
+        tau, aging = (np.array(c) for c in zip(*(values[r] for r in map(tuple, rows.tolist()))))
+        batches.append((rows, Evaluation(tau, aging, swarm_module.lambdas(tau, aging))))
+    return num_tiles, batches
+
+
+@settings(max_examples=200, deadline=None)
+@given(_evaluated_batches())
+def test_archive_matches_the_dict_archive(case):
+    # _update keeps each batch as compact rows and columns; the archive built
+    # from them holds the dict archive's entries, in its order, with the same
+    # first iterations, as Python ints and floats.
+    num_tiles, batches = case
+    n_p, num_clusters = batches[0][0].shape
+    replay = iter(ev for _, ev in batches)
+    ctx = SimpleNamespace(hw=SimpleNamespace(num_tiles=num_tiles), objective="lambda",
+                          evaluate_rows=lambda rows: next(replay))
+    state = SwarmState(positions=np.zeros((n_p, num_clusters, num_tiles)),
+                       velocities=np.zeros((n_p, num_clusters, num_tiles)),
+                       p_best=batches[0][0].copy(), p_best_fit=np.full(n_p, math.inf),
+                       g_best=0, iteration=0, rng=np.random.default_rng(0))
+    for rows, _ in batches:
+        _update(state, rows, ctx)
+    archive = _archive(state.batches)
+    want = list(_reference_archive(batches).values())
+    assert all(rows.dtype == np.min_scalar_type(num_tiles - 1) for rows, _ in state.batches)
+    assert archive.rows.dtype == np.min_scalar_type(num_tiles - 1)
+    assert list(archive) == want
+    assert [archive[i] for i in range(len(archive))] == want
+    assert len(archive) == len(want)
+    assert [archive.index(np.array(e.assignment)) for e in want] == list(range(len(want)))
+    assert all(type(v) is int for e in archive for v in (*e.assignment, e.iteration))
+    assert all(type(v) is float for e in archive for v in (e.tau, e.aging, e.lam))
+    assert not any(c.flags.writeable for c in vars(archive).values())
+
+
 # ---------------------------------------------------------------- pareto
 
 
@@ -983,9 +1052,16 @@ def _entry(assign, tau, aging, it=0):
                         lam=tau * aging, iteration=it)
 
 
+def _as_archive(entries):
+    """entries, in their order, as the columns of an Archive."""
+    return Archive(np.array([e.assignment for e in entries]),
+                   *(np.array([getattr(e, name) for e in entries])
+                     for name in ("tau", "aging", "lam", "iteration")))
+
+
 def test_extract_pareto_empty_errors():
     with pytest.raises(ValueError):
-        extract_pareto([])
+        extract_pareto(_as_archive([]))
 
 
 @pytest.mark.parametrize("tau, aging", [(math.nan, 1.0), (1.0, math.nan)])
@@ -993,32 +1069,32 @@ def test_extract_pareto_rejects_nan(tau, aging):
     # A NaN tau used to stall the equal-tau group scan forever (NaN != NaN).
     entries = [_entry([0], 1.0, 2.0), _entry([1], tau, aging)]
     with pytest.raises(ValueError, match="NaN"):
-        extract_pareto(entries)
+        extract_pareto(_as_archive(entries))
 
 
 def test_extract_pareto_keeps_fastest_group_at_infinite_aging():
     # Nothing dominates the fastest points, even when every aging is inf.
     entries = [_entry([1], 2.0, math.inf), _entry([0], 1.0, math.inf),
                _entry([2], 1.0, math.inf)]
-    front = extract_pareto(entries)
+    front = extract_pareto(_as_archive(entries))
     assert [(p.mapping.assignment, p.tau) for p in front.points] == [((0,), 1.0), ((2,), 1.0)]
-    front = extract_pareto([_entry([0], 1.0, math.inf), _entry([1], 2.0, 3.0)])
+    front = extract_pareto(_as_archive([_entry([0], 1.0, math.inf), _entry([1], 2.0, 3.0)]))
     assert [p.aging for p in front.points] == [math.inf, 3.0]
 
 
 def test_extract_pareto_single_point():
-    front = extract_pareto([_entry([0], 1.0, 2.0)])
+    front = extract_pareto(_as_archive([_entry([0], 1.0, 2.0)]))
     assert len(front.points) == 1
     assert front.points[0].tau == 1.0 and front.points[0].aging == 2.0
 
 
 def test_extract_pareto_dominated_dropped():
-    front = extract_pareto([_entry([0], 1.0, 2.0), _entry([1], 1.0, 1.0)])
+    front = extract_pareto(_as_archive([_entry([0], 1.0, 2.0), _entry([1], 1.0, 1.0)]))
     assert [(p.tau, p.aging) for p in front.points] == [(1.0, 1.0)]
 
 
 def test_extract_pareto_keeps_objective_ties():
-    front = extract_pareto([_entry([0, 1], 1.0, 1.0), _entry([1, 0], 1.0, 1.0)])
+    front = extract_pareto(_as_archive([_entry([0, 1], 1.0, 1.0), _entry([1, 0], 1.0, 1.0)]))
     assert len(front.points) == 2
     assert front.points[0].mapping.assignment == (0, 1)
 
@@ -1041,7 +1117,8 @@ def test_extract_pareto_matches_quadratic_oracle(items):
         if not any(o.tau <= e.tau and o.aging <= e.aging
                    and (o.tau < e.tau or o.aging < e.aging) for o in entries)
     )
-    got = [(p.tau, p.aging, p.mapping.assignment) for p in extract_pareto(entries).points]
+    got = [(p.tau, p.aging, p.mapping.assignment)
+           for p in extract_pareto(_as_archive(entries)).points]
     assert got == want
 
 
@@ -1049,7 +1126,7 @@ def test_extract_pareto_sorted_by_tau():
     rng = np.random.default_rng(5)
     entries = [_entry([i], float(rng.uniform(0, 1)), float(rng.uniform(0, 1)))
                for i in range(50)]
-    pts = extract_pareto(entries).points
+    pts = extract_pareto(_as_archive(entries)).points
     taus = [p.tau for p in pts]
     assert taus == sorted(taus)
     agings = [p.aging for p in pts]
