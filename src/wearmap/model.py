@@ -9,6 +9,7 @@ trace built from spike pulse intervals.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -151,6 +152,13 @@ class DeviceProfile:
             raise ValueError("spike_pulse_width must be finite and > 0")
 
 
+def _require_integer(name: str, value) -> None:
+    """Refuse a value that is not an integer (a NumPy integer is one), or that
+    is a bool, naming its field: int() would truncate 2.7 to 2 silently."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _most_square_mesh(num_tiles: int) -> tuple[int, int]:
     h = int(math.isqrt(num_tiles))
     while num_tiles % h:
@@ -170,6 +178,8 @@ class HardwareConfig:
     mesh: tuple[int, int] | None = None  # (width, height), row-major tile indexing
 
     def __post_init__(self) -> None:
+        for name in ("num_tiles", "crossbar_dim", "tile_capacity"):
+            _require_integer(name, getattr(self, name))
         if self.num_tiles < 1:
             raise ValueError("num_tiles must be >= 1")
         if self.crossbar_dim < 1:
@@ -181,6 +191,8 @@ class HardwareConfig:
         if self.mesh is None:
             object.__setattr__(self, "mesh", _most_square_mesh(self.num_tiles))
         else:
+            for entry in self.mesh:
+                _require_integer("mesh entry", entry)
             object.__setattr__(self, "mesh", (int(self.mesh[0]), int(self.mesh[1])))
         w, h = self.mesh
         if w < 1 or h < 1:
@@ -477,11 +489,13 @@ def generate_poisson_workload(
     if snn_shape.kind == "ring" and k > 1:
         pairs.append((k - 1, 0))
     elif snn_shape.kind == "random":
-        backbone = set(pairs)
-        for i in range(k):
-            for j in range(k):
-                if i != j and (i, j) not in backbone and rng.random() < snn_shape.edge_prob:
-                    pairs.append((i, j))
+        # One draw per (i, j) off the diagonal and the chain, in (i, j) order:
+        # the stream of one scalar draw each, in one call.
+        src, dst = np.nonzero(~np.eye(k, dtype=bool))
+        off_chain = dst != src + 1
+        src, dst = src[off_chain], dst[off_chain]
+        drawn = rng.random(len(src)) < snn_shape.edge_prob
+        pairs += zip(src[drawn].tolist(), dst[drawn].tolist())
 
     trains: dict[str, SpikeTrain] = {}
     for i, cid in enumerate(ids):

@@ -15,9 +15,12 @@ once, at the end: the first occurrence of each distinct row, in evaluation
 order, as read-only columns. The (tau, aging) Pareto front and the best
 mapping's evaluation are both read from it.
 
-A step works on the whole swarm at once: one sigmoid of the (n_p, C, T)
-velocity, which feeds both the bit draw (the one binarize also makes) and
-repair's preference, and one repair_rows over all particles. One update then
+A step works on the whole swarm at once and in place: the velocity and
+position arrays are updated where they are, the pulls toward the bests'
+corners are formed without building the corners, and one sigmoid of the
+(n_p, C, T) velocity feeds both the bit draw (the one binarize also makes, as a
+bool array here) and repair's preference, and one repair_rows over all
+particles, which lists the batch's evictions in one NumPy pass. One update then
 evaluates the repaired rows with one EvalContext.evaluate_rows, the batch
 evaluator the oracle also calls, which returns float64 columns of tau
 (perf.execution_times), aging (worst_tile_agings) and lambda, block by block
@@ -28,11 +31,10 @@ it, from a cache keyed by its hosted set's bitmask, and sends a set to the
 kernel only when its bound can still reach its row's worst.
 Initialization is that same update applied to the random starting corners
 as iteration 0, and evaluate is the validated one-mapping case. Python loops
-over particles only for the overloaded rows repair has to move and for the
-front's few points, and over hosted sets only for those not yet cached and
-those the kernel computes; the improved personal-best rows are written in one
-masked assignment. The front is one sweep over the archive's columns sorted by
-(tau, aging).
+only over the evictions repair has to make and the front's few points, and
+over hosted sets only for those not yet cached and those the kernel computes;
+the improved personal-best rows are written in one masked assignment. The
+front is one sweep over the archive's columns sorted by (tau, aging).
 
 All randomness flows from one seeded generator, and best-updates reduce in
 particle-index order, so a run is a pure function of (instance, config).
@@ -346,27 +348,33 @@ class SwarmState:
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
-    """The logistic function without overflow: exp only ever sees -|v|."""
-    e = np.exp(-np.abs(v))
-    return np.where(v >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def _draw_bits(vhat: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """bit_d = 0 with probability vhat_d: one uniform draw per component, in
-    array order."""
-    return np.where(rng.random(vhat.shape) < vhat, 0, 1)
+    """The logistic function of an array of one or more dimensions, without
+    overflow: exp only ever sees -|v|. With e = exp(-|v|) <= 1, max(e, v >= 0)
+    is 1 where v >= 0 and e elsewhere (NaN included), so one divide by 1 + e
+    gives both of 1 / (1 + e) and e / (1 + e), branch-free; it and exp work in
+    place."""
+    e = -np.abs(v)
+    np.exp(e, out=e)
+    d = e + 1.0
+    return np.divide(np.maximum(e, v >= 0.0, out=e), d, out=d)
 
 
 def binarize(position: np.ndarray, velocity: np.ndarray,
              rng: np.random.Generator) -> np.ndarray:
-    """Stochastic binarization: bit_d = 0 with probability sigmoid(velocity_d).
+    """Stochastic binarization: bit_d = 0 with probability sigmoid(velocity_d),
+    as 0/1 integers.
 
     The rule reads only the velocity; position is never read. One uniform draw
     per component, in array order. step_swarm makes the same draw from the
-    sigmoid it also hands to repair, without calling this function; the bits
-    only feed repair, and the real position keeps integrating the velocity.
+    sigmoid it also hands to repair, without calling this function, and keeps
+    its bits as a bool array, ~(u < vhat), which has the same 1s as here (a
+    NaN sigmoid draws a 1 in both); the bits only feed repair, and the real
+    position keeps integrating the velocity.
     """
-    return _draw_bits(_sigmoid(np.asarray(velocity, dtype=np.float64)), rng)
+    # A trailing axis of length 1 gives a 0-d velocity the array that
+    # _sigmoid's in-place steps need; [..., 0] takes it off again.
+    vhat = _sigmoid(np.asarray(velocity, dtype=np.float64)[..., None])[..., 0]
+    return np.where(rng.random(vhat.shape) < vhat, 0, 1)
 
 
 def _ring_walk(tile: int, mesh: tuple[int, int]):
@@ -394,8 +402,9 @@ def _ring_orders(mesh: tuple[int, int]) -> dict[int, tuple[list[int], Iterator[i
 
 
 def repair_rows(bits: np.ndarray, pref: np.ndarray, hw: HardwareConfig) -> np.ndarray:
-    """Project a batch of (n, C, T) cluster-by-tile matrices onto feasible
-    assignments, returned as an (n, C) int64 array.
+    """Project a batch of (n, C, T) cluster-by-tile matrices, bool or integer
+    (any nonzero entry is a 1), onto feasible assignments, returned as an
+    (n, C) int64 array.
 
     A row with exactly one nonzero entry keeps its tile; any other row takes
     the column of highest pref (ties to the lowest tile). Overloaded tiles,
@@ -403,41 +412,45 @@ def repair_rows(bits: np.ndarray, pref: np.ndarray, hw: HardwareConfig) -> np.nd
     to the first tile with room in (manhattan hops, index) order, found by a
     ring walk out from the overloaded tile. A tile that is not overloaded at
     the start never becomes so, and one walk serves all of a tile's evictions,
-    because the tiles it passes stay full. The ring order of each overloaded
-    tile is kept per mesh (_ring_orders) as a list that every particle
-    overflowing that tile, in this call or a later one, reads and extends from
-    the same walk, so it grows only as far as some particle went. Only
-    particles with an overloaded tile enter that Python loop. The caller
-    guarantees C <= total capacity.
+    because the tiles it passes stay full.
+
+    One NumPy pass lists every eviction of the batch: a stable sort of the
+    clusters' (row, tile) offsets, clusters taken last to first, groups each
+    tile's clusters highest index first, and all but a tile's cap lowest-index
+    clusters leave. Only those evictions, ordered by (row, tile ascending,
+    cluster descending), enter the Python loop, and their destinations are
+    written back in one assignment. The ring order of each overloaded tile is
+    kept per mesh (_ring_orders) as a list that every walk from that tile, in
+    this call or a later one, reads and extends from the same _ring_walk, so it
+    grows only as far as some walk went. The caller guarantees C <= total
+    capacity.
     """
-    nonzero = np.asarray(bits) != 0
+    nonzero = np.asarray(bits, dtype=bool)  # a bool array as it is; others != 0
     rows = np.where(nonzero.sum(axis=2) == 1, nonzero.argmax(axis=2),
                     np.asarray(pref).argmax(axis=2)).astype(np.int64)
-    n, num_tiles = rows.shape[0], hw.num_tiles
-    cap = hw.tile_capacity
-    offsets = rows + num_tiles * np.arange(n)[:, None]
-    loads = np.bincount(offsets.ravel(), minlength=n * num_tiles).reshape(n, num_tiles)
-    rings = _ring_orders(hw.mesh)
-    for i in np.flatnonzero((loads > cap).any(axis=1)).tolist():
-        row, load = rows[i].tolist(), loads[i].tolist()
-        leaving: dict[int, list[int]] = {}  # overloaded tile -> clusters, highest first
-        for c in range(len(row) - 1, -1, -1):
-            if load[row[c]] > cap:
-                leaving.setdefault(row[c], []).append(c)
-        for tile in sorted(leaving):
+    num_tiles, cap = hw.num_tiles, hw.tile_capacity
+    offsets = (rows + num_tiles * np.arange(len(rows))[:, None]).ravel()[::-1]
+    loads = np.bincount(offsets, minlength=len(rows) * num_tiles)
+    order = offsets.argsort(kind="stable")  # by (row, tile), then cluster descending
+    grouped = offsets[order]
+    leaving = np.arange(len(order)) < np.cumsum(loads)[grouped] - cap
+    rings, load, dests, group = _ring_orders(hw.mesh), loads.tolist(), [], -1
+    for offset in grouped[leaving].tolist():
+        if offset != group:  # a new overloaded (row, tile): its walk starts
+            group, tile = offset, offset % num_tiles
             if tile not in rings:
                 rings[tile] = ([], _ring_walk(tile, hw.mesh))
-            order, walk = rings[tile]
-            k, dest = 0, tile
-            for c in leaving[tile][:load[tile] - cap]:
-                while load[dest] >= cap:
-                    if k == len(order):
-                        order.append(next(walk))
-                    dest = order[k]
-                    k += 1
-                row[c] = dest
-                load[dest] += 1
-        rows[i] = row
+            (ring, walk), k, dest, base = rings[tile], 0, tile, offset - tile
+        while load[base + dest] >= cap:
+            try:
+                dest = ring[k]
+            except IndexError:  # past the ring order so far: the walk extends it
+                dest = next(walk)
+                ring.append(dest)
+            k += 1
+        dests.append(dest)
+        load[base + dest] += 1
+    np.put(rows, len(order) - 1 - order[leaving], dests)
     return rows
 
 
@@ -462,14 +475,10 @@ def repair(
         raise ValueError(
             f"binary matrix must be (num_clusters, {hw.num_tiles}), got {b.shape}"
         )
-    num_clusters, num_tiles = b.shape
-    require_capacity(num_clusters, hw)
-    if pref is None:
-        prefm = np.zeros((num_clusters, num_tiles))
-    else:
-        prefm = np.asarray(pref, dtype=np.float64)
-        if prefm.shape != (num_clusters, num_tiles):
-            raise ValueError(f"pref shape {prefm.shape} does not match {b.shape}")
+    require_capacity(len(b), hw)
+    prefm = np.zeros(b.shape) if pref is None else np.asarray(pref, dtype=np.float64)
+    if prefm.shape != b.shape:
+        raise ValueError(f"pref shape {prefm.shape} does not match {b.shape}")
     return Mapping(repair_rows(b[None], prefm[None], hw)[0].tolist())
 
 
@@ -539,26 +548,35 @@ def step_swarm(state: SwarmState, cfg: PsoConfig, ctx: EvalContext) -> SwarmStat
 
     Velocity gains fresh uniform pulls toward the personal and global best
     corners and is clamped to +-v_clamp; the real position integrates it.
-    The sigmoid of the whole velocity is taken once: the swarm is binarized
-    from it (one draw, the same stream as one draw per particle in turn) and
-    repaired with it as the preference. The update that also ends
-    initialize_swarm then evaluates, archives and updates the bests.
+    Both arrays are updated in place, and r1 and r2 are scaled in place. A
+    pull is (phi * r) * (best - pos), added as (v + A) + B, and best - pos is
+    formed without the one-hot corner: 0.0 - pos (so +0.0 stays +0.0, where
+    -pos would give -0.0), and 1.0 - pos at the corner's cells, so every bit
+    is the one the whole corners gave. The sigmoid of the whole velocity is
+    taken once: the swarm is binarized from it as a bool array, ~(u < vhat),
+    with u drawn into r2's buffer (one draw, the same stream as one draw per
+    particle in turn), and repaired with it as the preference. The update
+    that also ends initialize_swarm then evaluates, archives and updates the
+    bests.
     """
-    best = _corners(state.p_best, ctx.hw.num_tiles)
-    r1 = state.rng.random(state.positions.shape)
-    r2 = state.rng.random(state.positions.shape)
-    vel = (
-        state.velocities
-        + cfg.phi1 * r1 * (best - state.positions)
-        + cfg.phi2 * r2 * (best[state.g_best] - state.positions)
-    )
+    pos, vel = state.positions, state.velocities
+    toward = np.empty_like(pos)
+    i, c = np.arange(len(pos))[:, None], np.arange(pos.shape[1])
+    # r1 pulls toward each particle's personal best, r2 toward the global best.
+    for phi, best in ((cfg.phi1, state.p_best), (cfg.phi2, state.p_best[state.g_best])):
+        r = state.rng.random(pos.shape)
+        r *= phi
+        # best's corner minus pos: 0.0 - pos (+0.0 stays +0.0), 1.0 - pos at best
+        np.subtract(0.0, pos, out=toward)
+        toward[i, c, best] = 1.0 - pos[i, c, best]
+        r *= toward  # (phi * r) * (best - pos)
+        vel += r  # (v + A) + B
     np.clip(vel, -cfg.v_clamp, cfg.v_clamp, out=vel)
-    state.velocities = vel
-    state.positions = state.positions + vel
+    pos += vel
     state.iteration += 1
 
     vhat = _sigmoid(vel)
-    _update(state, repair_rows(_draw_bits(vhat, state.rng), vhat, ctx.hw), ctx)
+    _update(state, repair_rows(~(state.rng.random(out=r) < vhat), vhat, ctx.hw), ctx)
     return state
 
 

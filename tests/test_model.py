@@ -1,9 +1,12 @@
 """Tests for domain types, trace construction, and workload synthesis."""
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wearmap.model import (
     Cluster,
@@ -116,6 +119,28 @@ def test_hardware_validation():
                            temperature=temperature)
     with pytest.raises(ValueError):
         HardwareConfig(num_tiles=1, crossbar_dim=8, device_profile=_diode(), tile_capacity=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("num_tiles", 4.0), ("num_tiles", 4.5), ("num_tiles", True), ("num_tiles", "4"),
+    ("crossbar_dim", 8.0), ("crossbar_dim", False), ("crossbar_dim", np.float64(8.0)),
+    ("tile_capacity", 1.5), ("tile_capacity", True), ("tile_capacity", np.bool_(True)),
+    ("mesh", (2.7, 2.2)), ("mesh", (2, 2.0)), ("mesh", (True, 4)), ("mesh", (np.float64(2), 2)),
+])
+def test_hardware_refuses_non_integer_fields(field, value):
+    # int() would have read mesh (2.7, 2.2) as (2, 2), and tile_capacity 1.5
+    # gave a total capacity of 6.0.
+    fields = {"num_tiles": 4, "crossbar_dim": 8, "tile_capacity": 2, "mesh": (2, 2), field: value}
+    with pytest.raises(ValueError, match=field.replace("mesh", "mesh entry")):
+        HardwareConfig(device_profile=_diode(), **fields)
+
+
+def test_hardware_accepts_numpy_integers():
+    hw = HardwareConfig(num_tiles=np.int64(4), crossbar_dim=np.uint16(8),
+                        device_profile=_diode(), tile_capacity=np.int8(2),
+                        mesh=(np.int32(2), np.uint8(2)))
+    assert hw.total_capacity == 8
+    assert hw.mesh == (2, 2) and all(type(v) is int for v in hw.mesh)
 
 
 # ---------------------------------------------------------------- snn validation
@@ -384,3 +409,46 @@ def test_workload_spike_totals():
     wl = generate_poisson_workload(WorkloadShape(num_clusters=2), 30.0, 1.0, 9)
     assert wl.total_spikes() == sum(len(t) for t in wl.trains.values())
     assert isinstance(wl, Workload)
+
+
+def _reference_random_topology(k, edge_prob, seed):
+    """The random topology drawn one scalar at a time, as first written: the
+    chain backbone, then each other (i, j), i != j, in (i, j) order with one
+    draw each. Returns the pairs and the generator, whose state the spike
+    trains then continue from."""
+    rng = np.random.default_rng(seed)
+    pairs = [(i, i + 1) for i in range(k - 1)]
+    backbone = set(pairs)
+    for i in range(k):
+        for j in range(k):
+            if i != j and (i, j) not in backbone and rng.random() < edge_prob:
+                pairs.append((i, j))
+    return pairs, rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 3, 9, 24, 48, 128]),
+       st.one_of(st.sampled_from([0.0, 0.1, 0.5, 1.0]), st.floats(0.0, 1.0)),
+       st.integers(0, 2 ** 32 - 1))
+def test_poisson_random_topology_equals_scalar_draws(k, edge_prob, seed):
+    made = []
+    default_rng = np.random.default_rng
+
+    def recording(s):
+        made.append(default_rng(s))
+        return made[-1]
+
+    shape = WorkloadShape(num_clusters=k, kind="random", edge_prob=edge_prob)
+    with patch.object(np.random, "default_rng", recording):
+        wl = generate_poisson_workload(shape, rate=20.0, window=1.0, seed=seed)
+    pairs, rng = _reference_random_topology(k, edge_prob, seed)
+    # The spike trains come next, from the same generator, in cluster order.
+    counts = []
+    for _ in range(k):
+        counts.append(int(rng.poisson(20.0)))
+        if counts[-1]:
+            rng.uniform(0.0, 1.0, counts[-1])
+    assert [(e.src, e.dst, e.spike_count) for e in wl.snn.edges] == \
+        [(f"c{i}", f"c{j}", counts[i]) for i, j in pairs]
+    generator, = made
+    assert generator.bit_generator.state == rng.bit_generator.state

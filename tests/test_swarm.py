@@ -602,6 +602,8 @@ def test_repair_rows_equals_per_matrix_reference(batch):
     num_clusters = bits.shape[1]
     rows = repair_rows(bits, pref, hw)
     assert rows.dtype == np.int64 and rows.shape == bits.shape[:2]
+    # The step hands repair_rows bool bits: the same 1s give the same rows.
+    assert np.array_equal(repair_rows(bits != 0, pref, hw), rows)
     for i, row in enumerate(rows.tolist()):
         assert tuple(row) == _reference_repair(bits[i], hw, pref[i])
         assert repair(bits[i], hw, np.random.default_rng(0), pref=pref[i]).assignment \
@@ -746,6 +748,98 @@ def test_step_velocity_clamped():
     for _ in range(5):
         step_swarm(state, cfg, ctx)
     assert np.max(np.abs(state.velocities)) <= 0.5 + 1e-15
+
+
+def _reference_step(state, cfg, ctx):
+    """The swarm step as it was before it worked in place: the personal
+    bests' one-hot corners built whole, the velocity as one expression, the
+    sigmoid through np.where, 0/1 int64 bits, and the per-matrix repair."""
+    best = np.zeros(state.positions.shape)
+    np.put_along_axis(best, state.p_best[..., None], 1.0, axis=2)
+    r1 = state.rng.random(state.positions.shape)
+    r2 = state.rng.random(state.positions.shape)
+    vel = (
+        state.velocities
+        + cfg.phi1 * r1 * (best - state.positions)
+        + cfg.phi2 * r2 * (best[state.g_best] - state.positions)
+    )
+    np.clip(vel, -cfg.v_clamp, cfg.v_clamp, out=vel)
+    state.velocities = vel
+    state.positions = state.positions + vel
+    state.iteration += 1
+    e = np.exp(-np.abs(vel))
+    vhat = np.where(vel >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    bits = np.where(state.rng.random(vhat.shape) < vhat, 0, 1)
+    rows = np.array([_reference_repair(b, ctx.hw, v) for b, v in zip(bits, vhat)],
+                    dtype=np.int64).reshape(state.p_best.shape)
+    _update(state, rows, ctx)
+    return state
+
+
+
+@st.composite
+def _swarm_cases(draw):
+    width, height = draw(st.sampled_from([(1, 1), (2, 1), (2, 2), (3, 2), (1, 4), (3, 3)]))
+    num_tiles = width * height
+    cap = draw(st.integers(1, 3))
+    num_clusters = draw(st.integers(1, min(6, num_tiles * cap)))
+    n_p = draw(st.integers(2, 5))
+    cfg = PsoConfig(
+        n_particles=n_p, max_iterations=3,
+        phi1=draw(st.one_of(st.just(0.0), st.floats(0.0, 4.0))),
+        phi2=draw(st.one_of(st.just(0.0), st.floats(0.0, 4.0))),
+        # the smallest subnormal, tiny, the default, and large enough that
+        # the clamp never binds
+        v_clamp=draw(st.sampled_from([5e-324, 1e-12, 0.5, 4.0, 1e6, 1e300])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (n_p, num_clusters, num_tiles)
+    p_best = rng.integers(0, num_tiles, shape[:2])
+    corners = np.zeros(shape)
+    np.put_along_axis(corners, p_best[..., None], 1.0, axis=2)
+    # Positions at a corner, at reals, or at reals of magnitude up to 1e6;
+    # either way some cells hold -0.0 and some +0.0, and the velocities too.
+    scale = draw(st.sampled_from([0.0, 1.0, 1e6]))
+    positions = corners + scale * rng.normal(size=shape)
+    velocities = draw(st.sampled_from([0.0, 1.0, 50.0])) * rng.normal(size=shape)
+    for a in (positions, velocities):
+        zeros = rng.random(shape) < 0.3
+        a[zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
+    p_best_fit = np.where(rng.random(n_p) < 0.3, math.inf, rng.random(n_p))
+    wl = generate_poisson_workload(
+        WorkloadShape(num_clusters=num_clusters, kind="random", edge_prob=0.3), 30.0, 1.0,
+        int(rng.integers(1000)))
+    hw = _hw(num_tiles=num_tiles, tile_capacity=cap, mesh=(width, height))
+    state = dict(positions=positions, velocities=velocities, p_best=p_best,
+                 p_best_fit=p_best_fit, g_best=int(rng.integers(n_p)), iteration=1,
+                 seed=int(rng.integers(2 ** 32)))
+    return wl, hw, cfg, state, draw(st.integers(1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_swarm_cases())
+def test_step_swarm_equals_the_step_before_it_worked_in_place(case):
+    wl, hw, cfg, fields, steps = case
+    seed = fields.pop("seed")
+    states = []
+    for _ in range(2):
+        copies = {k: v.copy() if isinstance(v, np.ndarray) else v for k, v in fields.items()}
+        states.append(SwarmState(rng=np.random.default_rng(seed), **copies))
+    got, want = states
+    ctx, ref_ctx = (EvalContext(wl, hw, AgingParams(), PerfParams()) for _ in range(2))
+    for _ in range(steps):
+        step_swarm(got, cfg, ctx)
+        _reference_step(want, cfg, ref_ctx)
+        # every bit: +0.0 and -0.0 are told apart
+        assert np.array_equal(got.positions.view(np.uint64), want.positions.view(np.uint64))
+        assert np.array_equal(got.velocities.view(np.uint64), want.velocities.view(np.uint64))
+        (rows, ev), (want_rows, want_ev) = got.batches[-1], want.batches[-1]
+        assert np.array_equal(rows, want_rows) and rows.dtype == want_rows.dtype
+        for column, want_column in zip(ev, want_ev):
+            assert np.array_equal(column.view(np.uint64), want_column.view(np.uint64))
+        assert np.array_equal(got.p_best, want.p_best)
+        assert np.array_equal(got.p_best_fit, want.p_best_fit)
+        assert got.g_best == want.g_best and got.iteration == want.iteration
+        assert got.rng.bit_generator.state == want.rng.bit_generator.state
 
 
 @pytest.mark.parametrize("objective", ["lambda", "tau"])
@@ -957,6 +1051,17 @@ workload:
             kind: random, edge_prob: 0.05, rate: 40.0, window: 1.0, seed: 13}
 """
 
+# 128 clusters on an 8x8 mesh at capacity 2: the mesh is exactly full, so
+# every overloaded tile's walk passes full tiles, and the keys are two words.
+_MESH_128 = """\
+hardware: {num_tiles: 64, mesh: [8, 8], crossbar_dim: 64, tile_capacity: 2,
+           temperature: 300.0, device: {kind: diode_1D1R}}
+pso: {n_particles: 32, max_iterations: 3, seed: 3}
+workload:
+  poisson: {num_clusters: 128, neurons_per_cluster: 16, synapses_per_cluster: 48,
+            kind: random, edge_prob: 0.025, rate: 40.0, window: 1.0, seed: 13}
+"""
+
 
 def _archive_digest(cfg):
     ctx = EvalContext(cfg.workload, cfg.hardware, cfg.aging, cfg.perf)
@@ -977,6 +1082,8 @@ def test_optimize_archive_golden():
         "d4e72e80f4c1c1f926b8cd23a8695efdba12806b8d58c9bcb2f1fd7c60330a1e"
     assert _archive_digest(parse_run_config(_MESH_70)) == \
         "c7778d43683b4d26bac337872f087a28cbd069a8520da6fd8d706d88ef714340"
+    assert _archive_digest(parse_run_config(_MESH_128)) == \
+        "a3a783cbbc1c45c811665defd72ec28fe6831d046b5d52ad1fb10c36fde50747"
 
 
 # ---------------------------------------------------------------- archive
