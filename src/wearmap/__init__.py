@@ -8,71 +8,29 @@ with Pareto-front extraction and an exhaustive oracle for verification.
 
 from .aging import (
     AgingParams,
-    AgingReport,
-    BOLTZMANN_EV,
-    CalibrationError,
-    HciParams,
-    NbtiParams,
-    NeuronAging,
-    TddbParams,
-    alpha,
     calibrate_baseline,
     combine_aging,
     evaluate_hardware_aging,
     hci_aging,
     hosted_set_aging_bounds,
     hosted_set_mechanism_agings,
-    mttf_from_aging,
     nbti_aging,
     reliability_at,
     tddb_aging,
 )
-from .config import ConfigError, RunConfig, YEAR_SECONDS, load_run_config, parse_run_config
-from .model import (
-    Cluster,
-    ClusteredSnn,
-    DeviceProfile,
-    DIODE_1D1R,
-    Edge,
-    HardwareConfig,
-    Mapping,
-    MappingConstraintError,
-    SpikeTrain,
-    TRANSISTOR_1T1R,
-    Violation,
-    VoltageTrace,
-    Workload,
-    WorkloadShape,
-    build_voltage_trace,
-    first_fit_mapping,
-    generate_poisson_workload,
-    mapping_violations,
-    require_valid_mapping,
-    validate_snn,
-)
-from .oracle import (
-    BruteForceOptimum,
-    ENUMERATION_GUARD,
-    GuardExceededError,
-    brute_force_optimum,
-    brute_force_pareto,
-    count_feasible_mappings,
-)
+from .config import ConfigError, load_run_config, parse_run_config
+from .model import Mapping, build_voltage_trace, mapping_violations
+from .oracle import brute_force_optimum, brute_force_pareto, count_feasible_mappings
 from .perf import PerfParams, execution_time, execution_times
 from .swarm import (
     Archive,
-    ArchiveEntry,
     EvalContext,
-    Evaluation,
-    FrontPoint,
     InfeasibleError,
     OptimizeResult,
-    ParetoFront,
     PsoConfig,
     SwarmState,
     binarize,
     extract_pareto,
-    initialize_swarm,
     optimize,
     repair,
     repair_rows,
@@ -82,47 +40,20 @@ from .swarm import (
 
 __version__ = "0.1.0"
 
+# The names README's "Library use" and "Key entry points" document; every
+# other name is imported from its submodule (wearmap.model, wearmap.swarm, ...).
+# tests/test_package.py holds README, this list and the benchmark to each other.
 __all__ = [
     "AgingParams",
-    "AgingReport",
     "Archive",
-    "ArchiveEntry",
-    "BOLTZMANN_EV",
-    "BruteForceOptimum",
-    "CalibrationError",
-    "Cluster",
-    "ClusteredSnn",
     "ConfigError",
-    "DIODE_1D1R",
-    "DeviceProfile",
-    "ENUMERATION_GUARD",
-    "Edge",
     "EvalContext",
-    "Evaluation",
-    "FrontPoint",
-    "GuardExceededError",
-    "HardwareConfig",
-    "HciParams",
     "InfeasibleError",
     "Mapping",
-    "MappingConstraintError",
-    "NbtiParams",
-    "NeuronAging",
     "OptimizeResult",
-    "ParetoFront",
     "PerfParams",
     "PsoConfig",
-    "RunConfig",
-    "SpikeTrain",
     "SwarmState",
-    "TRANSISTOR_1T1R",
-    "TddbParams",
-    "Violation",
-    "VoltageTrace",
-    "Workload",
-    "WorkloadShape",
-    "YEAR_SECONDS",
-    "alpha",
     "binarize",
     "brute_force_optimum",
     "brute_force_pareto",
@@ -134,24 +65,18 @@ __all__ = [
     "execution_time",
     "execution_times",
     "extract_pareto",
-    "first_fit_mapping",
-    "generate_poisson_workload",
     "hci_aging",
     "hosted_set_aging_bounds",
     "hosted_set_mechanism_agings",
-    "initialize_swarm",
     "load_run_config",
     "mapping_violations",
-    "mttf_from_aging",
     "nbti_aging",
     "optimize",
     "parse_run_config",
     "reliability_at",
     "repair",
     "repair_rows",
-    "require_valid_mapping",
     "select_final",
     "step_swarm",
     "tddb_aging",
-    "validate_snn",
 ]

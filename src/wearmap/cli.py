@@ -109,25 +109,24 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         w.writerows(rows)
 
 
-def _hash(assignment: tuple[int, ...]) -> str:
-    return hashlib.sha256(",".join(map(str, assignment)).encode("ascii")).hexdigest()[:12]
-
-
-def _astr(assignment: tuple[int, ...]) -> str:
-    return " ".join(map(str, assignment))
+def _labels(assignment, names: list[str]) -> tuple[str, str]:
+    """An assignment's hash and text, with names[t] == str(t) for every tile t
+    (a table built once per command): the text is its tile indices joined by
+    spaces, and the hash the first 12 hex digits of the SHA-256 of the same
+    indices joined by commas."""
+    text = " ".join([names[t] for t in assignment])
+    return hashlib.sha256(text.replace(" ", ",").encode("ascii")).hexdigest()[:12], text
 
 
 def _write_archive(path: Path, archive: Archive, num_tiles: int) -> None:
     """archive.csv, streamed from the archive's columns one entry at a time.
-    Each assignment's text is built once, and hashed as _hash does, with
-    commas for its spaces. The lines are the ones csv.writer would write: no
-    field holds a comma, a quote or a line break, and floats print as repr."""
-    names = [str(t) for t in range(num_tiles)]
+    The lines are the ones csv.writer would write: no field holds a comma, a
+    quote or a line break, and floats print as repr."""
+    names = list(map(str, range(num_tiles)))
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write("mapping_hash,assignment,tau,aging,lambda,iteration\n")
         for row, tau, aging, lam, iteration in archive.records():
-            text = " ".join([names[t] for t in row])
-            digest = hashlib.sha256(text.replace(" ", ",").encode("ascii")).hexdigest()[:12]
+            digest, text = _labels(row, names)
             f.write(f"{digest},{text},{tau!r},{aging!r},{lam!r},{iteration}\n")
 
 
@@ -212,10 +211,12 @@ def cmd_calibrate(args, cfg: RunConfig, out_dir: Path) -> int:
 def cmd_map(args, cfg: RunConfig, out_dir: Path) -> int:
     res, selected, ev = _search(cfg, cfg.hardware)
     report = evaluate_hardware_aging(cfg.workload, selected, cfg.hardware, cfg.aging)
+    names = list(map(str, range(cfg.hardware.num_tiles)))
+    selected_hash = _labels(selected.assignment, names)[0]
 
     _write_json(out_dir / "mapping.json", {
         "assignment": list(selected.assignment),
-        "mapping_hash": _hash(selected.assignment),
+        "mapping_hash": selected_hash,
     })
     _write_archive(out_dir / "archive.csv", res.archive, cfg.hardware.num_tiles)
     front_points = [(p.mapping.assignment, float(p.tau), float(p.aging))
@@ -223,7 +224,7 @@ def cmd_map(args, cfg: RunConfig, out_dir: Path) -> int:
     _write_csv(
         out_dir / "front.csv",
         ["mapping_hash", "assignment", "tau", "aging"],
-        [[_hash(a), _astr(a), t, g] for a, t, g in front_points],
+        [[*_labels(a, names), t, g] for a, t, g in front_points],
     )
     _write_json(out_dir / "front.json", {
         "points": [{"assignment": list(a), "tau": t, "aging": g}
@@ -239,7 +240,7 @@ def cmd_map(args, cfg: RunConfig, out_dir: Path) -> int:
                [list(r) for r in neuron_rows])
     _write_json(out_dir / "summary.json", {
         **_record(selected, ev),
-        "mapping_hash": _hash(selected.assignment),
+        "mapping_hash": selected_hash,
         "mttf_seconds": report.mttf,
         "epsilon": cfg.epsilon,
         "front_size": len(res.front.points),
@@ -323,9 +324,10 @@ def cmd_compare(args, cfg: RunConfig, out_dir: Path) -> int:
 
     header = ["strategy", "assignment", "tau", "aging", "mttf", "tau_ratio", "aging_ratio",
               "mttf_ratio"]
+    names = list(map(str, range(hw.num_tiles)))
     rows = _relative_rows(cfg, [
-        ("joint_pso", _astr(sel_joint.assignment), ev_joint.tau, ev_joint.aging),
-        ("perf_only", _astr(res_perf.mapping.assignment), ev_perf.tau, ev_perf.aging),
+        ("joint_pso", _labels(sel_joint.assignment, names)[1], ev_joint.tau, ev_joint.aging),
+        ("perf_only", _labels(res_perf.mapping.assignment, names)[1], ev_perf.tau, ev_perf.aging),
         ("random", "", rand_tau, rand_aging),
     ])
     _write_csv(out_dir / "compare.csv", header, rows)

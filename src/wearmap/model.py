@@ -204,15 +204,6 @@ class HardwareConfig:
     def total_capacity(self) -> int:
         return self.num_tiles * self.tile_capacity
 
-    def tile_coords(self, tile: int) -> tuple[int, int]:
-        w, _ = self.mesh
-        return tile % w, tile // w
-
-    def manhattan_hops(self, a: int, b: int) -> int:
-        ax, ay = self.tile_coords(a)
-        bx, by = self.tile_coords(b)
-        return abs(ax - bx) + abs(ay - by)
-
 
 @dataclass(frozen=True)
 class SpikeTrain:

@@ -251,17 +251,6 @@ class PsoConfig:
         return n_p, iters
 
 
-@dataclass(frozen=True)
-class ArchiveEntry:
-    """One evaluated feasible mapping; iteration is where it first appeared."""
-
-    assignment: tuple[int, ...]
-    tau: float
-    aging: float
-    lam: float
-    iteration: int
-
-
 def _keys(rows: np.ndarray) -> np.ndarray:
     """Each row of a C-contiguous (n, C) array as one opaque value, so that
     rows sort and compare whole."""
@@ -272,9 +261,7 @@ def _keys(rows: np.ndarray) -> np.ndarray:
 class Archive:
     """Every distinct evaluated mapping, in the order first evaluated, as
     read-only columns: the (N, C) assignment rows, float64 tau, aging and
-    lambda, and the iteration each row first appeared in. As a sequence it
-    yields ArchiveEntry values of Python ints and floats, converted a block of
-    rows at a time."""
+    lambda, and the iteration each row first appeared in."""
 
     rows: np.ndarray
     tau: np.ndarray
@@ -284,14 +271,6 @@ class Archive:
 
     def __len__(self) -> int:
         return len(self.tau)
-
-    def __getitem__(self, i: int) -> ArchiveEntry:
-        return ArchiveEntry(tuple(self.rows[i].tolist()), self.tau[i].item(),
-                            self.aging[i].item(), self.lam[i].item(), self.iteration[i].item())
-
-    def __iter__(self) -> Iterator[ArchiveEntry]:
-        for row, *values in self.records():
-            yield ArchiveEntry(tuple(row), *values)
 
     def records(self) -> Iterator[tuple[list[int], float, float, float, int]]:
         """(assignment, tau, aging, lambda, iteration) of every entry in order,
@@ -679,10 +658,10 @@ def optimize(
     for _ in range(iters):
         step_swarm(state, resolved, ctx)
     archive = _archive(state.batches)
-    best = archive[archive.index(state.p_best[state.g_best])]
+    best = archive.index(state.p_best[state.g_best])
     return OptimizeResult(
-        mapping=Mapping(best.assignment),
-        evaluation=Evaluation(best.tau, best.aging, best.lam),
+        mapping=Mapping(archive.rows[best].tolist()),
+        evaluation=Evaluation(*(c[best].item() for c in (archive.tau, archive.aging, archive.lam))),
         front=extract_pareto(archive),
         archive=archive,
         iterations=iters,

@@ -37,7 +37,6 @@ from wearmap.oracle import (
 )
 from wearmap.perf import PerfParams
 from wearmap.swarm import (
-    ArchiveEntry,
     EvalContext,
     Evaluation,
     FrontPoint,
@@ -49,7 +48,7 @@ from wearmap.swarm import (
 )
 
 from test_perf import _mesh_automorphisms
-from test_swarm import _as_archive
+from test_swarm import _Entry, _as_archive
 
 
 def _hw(num_tiles, tile_capacity=1):
@@ -251,7 +250,7 @@ def test_pareto_matches_archive_extraction():
         entries = []
         for m in _reference_mappings(ctx.workload.snn, ctx.hw):
             ev = ctx.evaluate(m)
-            entries.append(ArchiveEntry(
+            entries.append(_Entry(
                 assignment=m.assignment, tau=ev.tau, aging=ev.aging,
                 lam=ev.lam, iteration=0,
             ))

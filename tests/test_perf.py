@@ -177,6 +177,13 @@ def test_wide_mesh_hop_distance():
 # ---------------------------------------------------------------- batched
 
 
+def _manhattan_hops(hw, a, b):
+    """Hops between tiles a and b of hw's mesh, whose tiles are numbered row
+    by row: tile t sits at column t % width of row t // width."""
+    (ay, ax), (by, bx) = divmod(a, hw.mesh[0]), divmod(b, hw.mesh[0])
+    return abs(ax - bx) + abs(ay - by)
+
+
 def _reference_execution_time(snn, assignment, hw, p):
     """The scalar surrogate, one mapping at a time: Python-int arrivals and
     spike-hops over the edges, then the float operations."""
@@ -191,7 +198,7 @@ def _reference_execution_time(snn, assignment, hw, p):
         src_tile = assignment[si]
         dst_tile = assignment[di]
         arrivals[dst_tile] += e.spike_count
-        comm_spike_hops += e.spike_count * hw.manhattan_hops(src_tile, dst_tile)
+        comm_spike_hops += e.spike_count * _manhattan_hops(hw, src_tile, dst_tile)
     load = max(arrivals) if p.tile_parallelism else sum(arrivals)
     return load * p.spike_latency + comm_spike_hops * p.hop_latency
 

@@ -9,6 +9,7 @@ import itertools
 import math
 from pathlib import Path
 from types import SimpleNamespace
+from typing import NamedTuple
 from unittest.mock import patch
 
 import numpy as np
@@ -42,7 +43,6 @@ from wearmap.model import (
 from wearmap.perf import PerfParams, execution_time
 from wearmap.swarm import (
     Archive,
-    ArchiveEntry,
     EvalContext,
     Evaluation,
     FrontPoint,
@@ -60,6 +60,23 @@ from wearmap.swarm import (
     step_swarm,
 )
 from wearmap.swarm import _archive, _corners, _ring_orders, _ring_walk, _sigmoid, _update
+
+from test_perf import _manhattan_hops
+
+
+class _Entry(NamedTuple):
+    """One archived mapping, as a test reads it from an Archive."""
+
+    assignment: tuple[int, ...]
+    tau: float
+    aging: float
+    lam: float
+    iteration: int
+
+
+def _entries(archive):
+    """archive's entries in order, read through Archive.records()."""
+    return [_Entry(tuple(row), *values) for row, *values in archive.records()]
 
 
 def _hw(num_tiles=4, tile_capacity=1, mesh=None):
@@ -558,7 +575,7 @@ def _reference_repair(binary, hw, pref):
             mover = int(np.flatnonzero(assignment == tile)[-1])
             dest = min(
                 (t for t in range(num_tiles) if loads[t] < hw.tile_capacity),
-                key=lambda t: (hw.manhattan_hops(tile, t), t),
+                key=lambda t: (_manhattan_hops(hw, tile, t), t),
             )
             assignment[mover] = dest
             loads[tile] -= 1
@@ -703,7 +720,7 @@ def test_initialize_swarm_feasible_and_evaluated():
     assert len(archive) >= 1
     assert state.p_best_fit[state.g_best] == min(state.p_best_fit)
     snn = ctx.workload.snn
-    for entry in archive:
+    for entry in _entries(archive):
         assert mapping_violations(Mapping(entry.assignment), snn, ctx.hw) == []
 
 
@@ -725,7 +742,7 @@ def test_initialize_all_infinite_swarm_keeps_particle_zero():
     # every personal best is still its particle's repaired starting row
     assert np.array_equal(state.p_best, state.positions.argmax(axis=2))
     assert np.array_equal(_corners(state.p_best, 3), state.positions)
-    assert {e.iteration for e in _archive(state.batches)} == {0}
+    assert {e.iteration for e in _entries(_archive(state.batches))} == {0}
 
 
 def test_step_zero_phi_keeps_positions():
@@ -918,7 +935,7 @@ def test_swarm_bests_are_archived_and_g_best_holds_the_minimum(make_ctx, n_p, se
         if step:
             step_swarm(state, cfg, ctx)
         assert state.p_best.shape == (n_p, len(ctx.workload.snn.clusters))
-        archive = {e.assignment: e for e in _archive(state.batches)}
+        archive = {e.assignment: e for e in _entries(_archive(state.batches))}
         for row, fit in zip(state.p_best.tolist(), state.p_best_fit.tolist()):
             entry = archive[tuple(row)]
             assert (entry.lam if objective == "lambda" else entry.tau) == fit
@@ -974,7 +991,7 @@ def test_optimize_evaluation_is_the_archived_best(objective, case):
         res = optimize(ctx.workload.snn, ctx.hw, cfg, ctx)
     assert res.evaluation == ref.evaluate(res.mapping)
     if case == "zero_tau" or (case == "inf_aging" and objective == "lambda"):
-        assert res.mapping.assignment == res.archive[0].assignment
+        assert res.mapping.assignment == _entries(res.archive)[0].assignment
 
 
 def test_optimize_deterministic():
@@ -985,7 +1002,7 @@ def test_optimize_deterministic():
     r2 = optimize(ctx2.workload.snn, ctx2.hw, cfg, ctx2)
     assert r1.mapping.assignment == r2.mapping.assignment
     assert r1.evaluation == r2.evaluation
-    assert list(r1.archive) == list(r2.archive)
+    assert _entries(r1.archive) == _entries(r2.archive)
     assert r1.front == r2.front
 
 
@@ -994,7 +1011,7 @@ def test_optimize_front_not_dominated_by_archive():
     cfg = PsoConfig(n_particles=10, max_iterations=25, seed=6)
     res = optimize(ctx.workload.snn, ctx.hw, cfg, ctx)
     for fp in res.front.points:
-        for entry in res.archive:
+        for entry in _entries(res.archive):
             dominates = (
                 entry.tau <= fp.tau and entry.aging <= fp.aging
                 and (entry.tau < fp.tau or entry.aging < fp.aging)
@@ -1067,7 +1084,7 @@ def _archive_digest(cfg):
     ctx = EvalContext(cfg.workload, cfg.hardware, cfg.aging, cfg.perf)
     res = optimize(cfg.workload.snn, cfg.hardware, cfg.pso, ctx)
     h = hashlib.sha256()
-    for e in res.archive:
+    for e in _entries(res.archive):
         h.update(repr((e.assignment, e.tau.hex(), e.aging.hex())).encode("ascii"))
     return h.hexdigest()
 
@@ -1097,7 +1114,7 @@ def _reference_archive(batches):
     for iteration, (rows, ev) in enumerate(batches):
         for assignment, *values in zip(map(tuple, rows.tolist()), *(c.tolist() for c in ev)):
             if assignment not in archive:  # values: tau, aging, lam
-                archive[assignment] = ArchiveEntry(assignment, *values, iteration)
+                archive[assignment] = _Entry(assignment, *values, iteration)
     return archive
 
 
@@ -1142,12 +1159,14 @@ def test_archive_matches_the_dict_archive(case):
     want = list(_reference_archive(batches).values())
     assert all(rows.dtype == np.min_scalar_type(num_tiles - 1) for rows, _ in state.batches)
     assert archive.rows.dtype == np.min_scalar_type(num_tiles - 1)
-    assert list(archive) == want
-    assert [archive[i] for i in range(len(archive))] == want
+    assert _entries(archive) == want
+    columns = (archive.tau, archive.aging, archive.lam, archive.iteration)
+    assert [_Entry(tuple(archive.rows[i].tolist()), *(c[i].item() for c in columns))
+            for i in range(len(archive))] == want
     assert len(archive) == len(want)
     assert [archive.index(np.array(e.assignment)) for e in want] == list(range(len(want)))
-    assert all(type(v) is int for e in archive for v in (*e.assignment, e.iteration))
-    assert all(type(v) is float for e in archive for v in (e.tau, e.aging, e.lam))
+    assert all(type(v) is int for e in _entries(archive) for v in (*e.assignment, e.iteration))
+    assert all(type(v) is float for e in _entries(archive) for v in (e.tau, e.aging, e.lam))
     assert not any(c.flags.writeable for c in vars(archive).values())
 
 
@@ -1155,8 +1174,8 @@ def test_archive_matches_the_dict_archive(case):
 
 
 def _entry(assign, tau, aging, it=0):
-    return ArchiveEntry(assignment=tuple(assign), tau=tau, aging=aging,
-                        lam=tau * aging, iteration=it)
+    return _Entry(assignment=tuple(assign), tau=tau, aging=aging,
+                  lam=tau * aging, iteration=it)
 
 
 def _as_archive(entries):
